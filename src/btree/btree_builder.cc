@@ -10,6 +10,10 @@ BtreeBuilder::BtreeBuilder(Env* env)
       file_id_(env->CreateFile()),
       leaf_builder_(0, page_size_) {}
 
+BtreeBuilder::~BtreeBuilder() {
+  if (!finished_) env_->DeleteFile(file_id_);
+}
+
 Status BtreeBuilder::Add(const Slice& key, const Slice& value, uint64_t ts,
                          bool antimatter) {
   assert(!finished_);
@@ -49,7 +53,6 @@ Status BtreeBuilder::FlushLeaf() {
 
 Status BtreeBuilder::Finish(BtreeMeta* meta) {
   assert(!finished_);
-  finished_ = true;
 
   if (num_entries_ == 0) {
     // Emit a single empty leaf as the root so readers have a valid page.
@@ -62,6 +65,7 @@ Status BtreeBuilder::Finish(BtreeMeta* meta) {
     meta->num_leaf_pages = 1;
     meta->num_entries = 0;
     meta->height = 1;
+    finished_ = true;
     return Status::OK();
   }
 
@@ -108,6 +112,7 @@ Status BtreeBuilder::Finish(BtreeMeta* meta) {
   meta->min_key = min_key_;
   meta->max_key = max_key_;
   meta->data_bytes = data_bytes_;
+  finished_ = true;
   return Status::OK();
 }
 

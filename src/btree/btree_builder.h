@@ -34,6 +34,12 @@ class BtreeBuilder {
  public:
   /// Creates a builder writing into a fresh file of env.
   explicit BtreeBuilder(Env* env);
+  /// A builder destroyed before a successful Finish (a failed, retried or
+  /// abandoned build) deletes its file, so the partial pages leave neither
+  /// the PageStore nor the buffer cache behind.
+  ~BtreeBuilder();
+  BtreeBuilder(const BtreeBuilder&) = delete;
+  BtreeBuilder& operator=(const BtreeBuilder&) = delete;
 
   /// Adds the next entry; keys must be non-decreasing.
   Status Add(const Slice& key, const Slice& value, uint64_t ts,
@@ -59,7 +65,7 @@ class BtreeBuilder {
   uint64_t num_entries_ = 0;
   uint64_t data_bytes_ = 0;
   std::string min_key_, max_key_;
-  bool finished_ = false;
+  bool finished_ = false;  ///< Finish succeeded: the file belongs to *meta
 };
 
 }  // namespace auxlsm

@@ -626,8 +626,14 @@ Status Dataset::SecondaryMergesToPolicy(SecondaryIndex* s, uint64_t* merges,
   if (options_.strategy == MaintenanceStrategy::kDeletedKeyBtree) {
     return DeletedKeyMergesToPolicy(s, merges, decoupled);
   }
-  AUXLSM_RETURN_NOT_OK(maintenance_->MergeToPolicy(s->tree.get(), merges));
-  return maintenance_->MergeToPolicy(s->deleted_keys.get(), merges);
+  auto plain = [this, s, merges]() -> Status {
+    AUXLSM_RETURN_NOT_OK(maintenance_->MergeToPolicy(s->tree.get(), merges));
+    return maintenance_->MergeToPolicy(s->deleted_keys.get(), merges);
+  };
+  // A decoupled merge job already retries as a whole; the fan-out path has
+  // no outer retry, so transient failures retry here as in RunMerges.
+  if (decoupled) return plain();
+  return RunWithRetry("merge(" + s->def.name + ")", plain);
 }
 
 void Dataset::RecordBitmapFixup(const std::string& pk, Timestamp ts) {
@@ -946,17 +952,22 @@ Status Dataset::ParallelMerges() {
   // the primary-key index concurrently with its own merge — safe because
   // readers work on component snapshots and ReplaceComponents swaps
   // atomically. IngestStats is only updated after the join.
+  // Transient failures retry the tree's merge loop from its current
+  // component set, as in the serial RunMerges.
   std::vector<std::function<Status()>> tasks;
   std::vector<uint64_t> merge_counts(2 + secondaries_.size(), 0);
   std::vector<uint64_t> repair_counts(secondaries_.size(), 0);
+  auto merge_tree = [this](LsmTree* t, uint64_t* c) {
+    return [this, t, c]() {
+      return RunWithRetry("merge(" + t->options().name + ")", [this, t, c]() {
+        return maintenance_->MergeToPolicy(t, c);
+      });
+    };
+  };
 
-  tasks.push_back([this, c = &merge_counts[0]]() {
-    return maintenance_->MergeToPolicy(primary_.get(), c);
-  });
+  tasks.push_back(merge_tree(primary_.get(), &merge_counts[0]));
   if (pk_index_ != nullptr) {
-    tasks.push_back([this, c = &merge_counts[1]]() {
-      return maintenance_->MergeToPolicy(pk_index_.get(), c);
-    });
+    tasks.push_back(merge_tree(pk_index_.get(), &merge_counts[1]));
   }
   for (size_t i = 0; i < secondaries_.size(); i++) {
     SecondaryIndex* s = secondaries_[i].get();

@@ -124,6 +124,13 @@ Status BufferCache::Read(uint32_t file_id, uint32_t page_no, PageData* out,
   return Status::OK();
 }
 
+void BufferCache::Admit(uint32_t file_id, uint32_t page_no, PageData data) {
+  if (capacity_.load(std::memory_order_relaxed) == 0) return;
+  Shard& s = ShardOf(file_id, page_no);
+  MutexLock l(s.mu);
+  InsertLocked(s, Key{file_id, page_no}, std::move(data));
+}
+
 void BufferCache::Evict(uint32_t file_id) {
   for (auto& sp : shards_) {
     Shard& s = *sp;

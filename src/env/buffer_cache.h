@@ -1,10 +1,15 @@
 // Lock-striped LRU buffer cache over (file, page) with optional read-ahead.
 //
-// The cache is read-through: a miss faults the page in from the PageStore and
-// charges the IoEngine (on the faulting thread's device queue); read-ahead
-// faults in the following pages of the same file at sequential-transfer cost,
-// modelling OS/disk read-ahead the paper relies on for scans (4MB read-ahead
-// in §6.1).
+// The cache is write-through and read-through. Every page a component build
+// appends is admitted at the MRU end as it is written (Admit, called by
+// Env::AppendPage), so a freshly flushed or merged component starts warm:
+// without it, every flush produced a cold component and every merge evicted
+// the cached copy of exactly the data it rewrote, and the reads right after
+// (Eager's ingest-time point lookups above all) re-faulted pages just
+// written. A miss faults the page in from the PageStore and charges the
+// IoEngine (on the faulting thread's device queue); read-ahead faults in the
+// following pages of the same file at sequential-transfer cost, modelling
+// OS/disk read-ahead the paper relies on for scans (4MB read-ahead in §6.1).
 //
 // Concurrency: the cache is split into `shards` independent stripes, each
 // with its own mutex, LRU list, and page index, selected by a hash of
@@ -54,6 +59,11 @@ class BufferCache {
   /// in up to that many following pages of the same file on a miss.
   Status Read(uint32_t file_id, uint32_t page_no, PageData* out,
               uint32_t readahead_pages = 0);
+
+  /// Write-through admission of a page just appended: inserts it at the MRU
+  /// end, evicting LRU pages past capacity. Charges no read and leaves the
+  /// hit/miss counters alone; a no-op when the cache is disabled.
+  void Admit(uint32_t file_id, uint32_t page_no, PageData data);
 
   /// Drops all cached pages of a file (called when a component is deleted).
   void Evict(uint32_t file_id);

@@ -73,14 +73,22 @@ class Env {
   uint32_t CreateFile() { return store_.CreateFile(); }
 
   /// Appends a page, charging a sequential write to the calling thread's
-  /// device queue.
+  /// device queue, and admits it to the buffer cache (write-through): flush,
+  /// merge and concurrent builds all append here, so their components start
+  /// warm instead of being re-faulted by the next reads. Admission charges
+  /// no read. A failed append admits nothing. `page_no` may be null.
   Status AppendPage(uint32_t file_id, std::string page, uint32_t* page_no) {
     if (options_.fault_injector != nullptr) {
       AUXLSM_RETURN_NOT_OK(
           options_.fault_injector->Hit(failpoints::kEnvAppendPage, &io_));
     }
-    AUXLSM_RETURN_NOT_OK(store_.AppendPage(file_id, std::move(page), page_no));
+    uint32_t appended = 0;
+    PageData data;
+    AUXLSM_RETURN_NOT_OK(
+        store_.AppendPage(file_id, std::move(page), &appended, &data));
     io_.ChargeWrite(1);
+    cache_.Admit(file_id, appended, std::move(data));
+    if (page_no != nullptr) *page_no = appended;
     return Status::OK();
   }
 

@@ -10,7 +10,7 @@ uint32_t PageStore::CreateFile() {
 }
 
 Status PageStore::AppendPage(uint32_t file_id, std::string page,
-                             uint32_t* page_no) {
+                             uint32_t* page_no, PageData* stored) {
   if (page.size() != page_size_) {
     return Status::InvalidArgument("page size mismatch");
   }
@@ -21,6 +21,7 @@ Status PageStore::AppendPage(uint32_t file_id, std::string page,
   if (page_no != nullptr) {
     *page_no = static_cast<uint32_t>(it->second.size() - 1);
   }
+  if (stored != nullptr) *stored = it->second.back();
   return Status::OK();
 }
 

@@ -29,8 +29,11 @@ class PageStore {
   /// Creates a new empty file and returns its id.
   uint32_t CreateFile();
 
-  /// Appends a page (must be exactly page_size bytes) and returns its number.
-  Status AppendPage(uint32_t file_id, std::string page, uint32_t* page_no);
+  /// Appends a page (must be exactly page_size bytes) and returns its number
+  /// and, if `stored` is non-null, the page data as stored (so a caller can
+  /// cache it without a second lookup).
+  Status AppendPage(uint32_t file_id, std::string page, uint32_t* page_no,
+                    PageData* stored = nullptr);
 
   /// Reads one page.
   Status ReadPage(uint32_t file_id, uint32_t page_no, PageData* out) const;

@@ -401,8 +401,12 @@ Status LsmTree::MergeFromStream(
   const bool includes_oldest = IsOldestComponent(picked.back());
   ComponentId id{picked.back()->id().min_ts, picked.front()->id().max_ts};
   AUXLSM_ASSIGN_OR_RETURN(DiskComponentPtr merged, BuildComponent(id, next));
-  // A stream that stopped on an error must not install its truncated output.
-  if (stream_status != nullptr) AUXLSM_RETURN_NOT_OK(*stream_status);
+  // A stream that stopped on an error must not install its truncated output;
+  // retiring it releases the file (and its cached pages) with the last ref.
+  if (stream_status != nullptr && !stream_status->ok()) {
+    merged->MarkRetired();
+    return *stream_status;
+  }
 
   // A merged component inherits the most conservative repair progress, and
   // the newest LSN any input carried: recovery replays the log from the
@@ -434,7 +438,10 @@ Status LsmTree::MergeFromStream(
     merged->set_range_filter(f);
   }
 
-  AUXLSM_RETURN_NOT_OK(ReplaceComponents(picked, merged));
+  if (Status st = ReplaceComponents(picked, merged); !st.ok()) {
+    merged->MarkRetired();
+    return st;
+  }
   if (merge_hook_) merge_hook_(picked, merged);
   return Status::OK();
 }

@@ -387,5 +387,26 @@ TEST(DatasetTest, TxnAbortUnsetsMutableBitmapBit) {
   ASSERT_TRUE(ds.GetById(1, &r).ok());
 }
 
+// The buffer cache is write-through: a merge's output pages are admitted as
+// they are written, so a point read of a merged key right after the merge
+// hits the cache instead of re-faulting the component it just wrote.
+TEST(DatasetTest, GetAfterForcedMergeChargesNoStorageRead) {
+  Env env(TestEnv());
+  Dataset ds(&env, BaseOptions(MaintenanceStrategy::kEager));
+  for (uint64_t i = 1; i <= 600; i++) {
+    ASSERT_TRUE(ds.Upsert(MakeTweet(i, i % 10, i)).ok());
+    if (i % 200 == 0) {
+      ASSERT_TRUE(ds.FlushAll().ok());
+    }
+  }
+  ASSERT_TRUE(ds.MergeAllIndexes().ok());
+  ASSERT_EQ(ds.primary()->NumDiskComponents(), 1u);
+  const uint64_t reads_before = env.stats().pages_read;
+  TweetRecord r;
+  ASSERT_TRUE(ds.GetById(123, &r).ok());
+  EXPECT_EQ(r.user_id, 3u);
+  EXPECT_EQ(env.stats().pages_read, reads_before);
+}
+
 }  // namespace
 }  // namespace auxlsm

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <thread>
 
+#include "btree/btree_builder.h"
 #include "core/dataset.h"
 #include "env/env.h"
 #include "workload/tweet_gen.h"
@@ -153,6 +155,7 @@ TEST(BufferCacheTest, ReadAheadFaultsFollowingPagesSequentially) {
   for (int i = 0; i < 8; i++) {
     ASSERT_TRUE(env.AppendPage(f, Page(env, 'x'), nullptr).ok());
   }
+  env.cache()->Clear();  // appends write through; start cold
   PageData d;
   ASSERT_TRUE(env.ReadPage(f, 0, &d, /*readahead_pages=*/4).ok());
   const IoStats s = env.stats();
@@ -169,6 +172,9 @@ TEST(BufferCacheTest, ZeroCapacityDisablesCaching) {
   Env env(SmallEnv(/*cache_pages=*/0));
   const uint32_t f = env.CreateFile();
   ASSERT_TRUE(env.AppendPage(f, Page(env, 'a'), nullptr).ok());
+  // Write-through admission is a no-op, not an insert-then-evict.
+  EXPECT_EQ(env.cache()->size(), 0u);
+  EXPECT_EQ(env.cache()->stats().evictions, 0u);
   PageData d;
   ASSERT_TRUE(env.ReadPage(f, 0, &d).ok());
   ASSERT_TRUE(env.ReadPage(f, 0, &d).ok());
@@ -215,6 +221,10 @@ TEST(ShardedBufferCacheTest, HitMissEvictionStats) {
   for (int i = 0; i < 8; i++) {
     ASSERT_TRUE(env.AppendPage(f, Page(env, char('a' + i)), nullptr).ok());
   }
+  // Appends write through (and evict past capacity); start cold and count
+  // evictions from here.
+  env.cache()->Clear();
+  const uint64_t evictions_before = env.cache()->stats().evictions;
   PageData d;
   for (int i = 0; i < 8; i++) {
     ASSERT_TRUE(env.ReadPage(f, i, &d).ok());
@@ -223,7 +233,7 @@ TEST(ShardedBufferCacheTest, HitMissEvictionStats) {
   const BufferCacheStats s = env.cache()->stats();
   EXPECT_EQ(s.misses, 8u);
   EXPECT_EQ(s.hits, 1u);
-  EXPECT_EQ(s.evictions, 8u - env.cache()->size());
+  EXPECT_EQ(s.evictions - evictions_before, 8u - env.cache()->size());
   EXPECT_LE(env.cache()->size(), 4u);
 }
 
@@ -311,6 +321,7 @@ TEST(EnvTest, DeleteFileSweepsHeadsOnEveryQueue) {
     ASSERT_TRUE(env.AppendPage(f, Page(env, 'a'), nullptr).ok());
     ASSERT_TRUE(env.AppendPage(g, Page(env, 'b'), nullptr).ok());
   }
+  env.cache()->Clear();  // appends write through; the reads must miss
   PageData d;
   for (uint32_t q = 0; q < 3; q++) {
     IoQueueScope scope(env.io(), q);
@@ -368,6 +379,97 @@ TEST(EnvTest, WriteChargesSequentialCost) {
   ASSERT_TRUE(env.AppendPage(f, Page(env, 'a'), nullptr).ok());
   EXPECT_EQ(env.stats().pages_written, 1u);
   EXPECT_GT(env.stats().simulated_us, 0.0);
+}
+
+TEST(WriteThroughCacheTest, ReadAfterAppendIsFreeHit) {
+  Env env(SmallEnv());
+  const uint32_t f = env.CreateFile();
+  ASSERT_TRUE(env.AppendPage(f, Page(env, 'a'), nullptr).ok());
+  // Admission charges no read and counts neither a hit nor a miss.
+  const IoStats after_append = env.stats();
+  EXPECT_EQ(after_append.pages_read, 0u);
+  EXPECT_EQ(env.cache()->stats().hits, 0u);
+  EXPECT_EQ(env.cache()->stats().misses, 0u);
+  EXPECT_EQ(env.cache()->size(), 1u);
+
+  PageData d;
+  ASSERT_TRUE(env.ReadPage(f, 0, &d).ok());
+  EXPECT_EQ((*d)[0], 'a');
+  EXPECT_EQ(env.stats().pages_read, 0u);
+  EXPECT_EQ(env.stats().simulated_us, after_append.simulated_us);
+  EXPECT_EQ(env.cache()->stats().hits, 1u);
+  EXPECT_EQ(env.cache()->stats().misses, 0u);
+}
+
+TEST(WriteThroughCacheTest, DeleteFileLeavesNoPageResident) {
+  EnvOptions o = SmallEnv(/*cache_pages=*/32);
+  o.cache_shards = 4;
+  Env env(o);
+  const uint32_t f = env.CreateFile();
+  const uint32_t g = env.CreateFile();
+  for (int i = 0; i < 5; i++) {
+    ASSERT_TRUE(env.AppendPage(f, Page(env, 'a'), nullptr).ok());
+    ASSERT_TRUE(env.AppendPage(g, Page(env, 'b'), nullptr).ok());
+  }
+  ASSERT_EQ(env.cache()->size(), 10u);
+  ASSERT_TRUE(env.DeleteFile(f).ok());
+  EXPECT_EQ(env.cache()->size(), 5u);
+  // Every survivor is g's: all five reads hit.
+  PageData d;
+  for (uint32_t i = 0; i < 5; i++) ASSERT_TRUE(env.ReadPage(g, i, &d).ok());
+  EXPECT_EQ(env.cache()->stats().hits, 5u);
+  EXPECT_EQ(env.stats().pages_read, 0u);
+}
+
+TEST(WriteThroughCacheTest, AdmissionNeverExceedsCapacity) {
+  EnvOptions o = SmallEnv(/*cache_pages=*/10);
+  o.cache_shards = 4;
+  Env env(o);
+  uint32_t files[3];
+  for (auto& f : files) f = env.CreateFile();
+  for (int i = 0; i < 120; i++) {
+    ASSERT_TRUE(env.AppendPage(files[i % 3], Page(env, 'x'), nullptr).ok());
+    ASSERT_LE(env.cache()->size(), env.cache()->capacity()) << "append " << i;
+  }
+  EXPECT_EQ(env.cache()->size(), env.cache()->capacity());
+  EXPECT_EQ(env.cache()->stats().evictions, 120u - env.cache()->capacity());
+  env.cache()->set_capacity(4);
+  for (int i = 0; i < 20; i++) {
+    ASSERT_TRUE(env.AppendPage(files[0], Page(env, 'y'), nullptr).ok());
+    ASSERT_LE(env.cache()->size(), 4u);
+  }
+}
+
+// A build that fails part-way (here: an injected page-append fault) must
+// release the pages it did write: the abandoned builder deletes its file, so
+// neither the page store nor the write-through cache keeps them.
+TEST(WriteThroughCacheTest, FailedBuildReleasesItsPages) {
+  FaultInjector fault(1);
+  EnvOptions o = SmallEnv(/*cache_pages=*/64);
+  o.fault_injector = &fault;
+  Env env(o);
+  auto build = [&](int entries) -> Status {
+    BtreeBuilder b(&env);
+    for (int i = 0; i < entries; i++) {
+      char key[16];
+      std::snprintf(key, sizeof(key), "k%08d", i);
+      AUXLSM_RETURN_NOT_OK(b.Add(key, std::string(24, 'v'), i, false));
+    }
+    BtreeMeta meta;
+    return b.Finish(&meta);
+  };
+  ASSERT_TRUE(build(50).ok());  // a finished tree keeps its pages
+  const uint64_t pages_before = env.store()->TotalPages();
+  const size_t cached_before = env.cache()->size();
+  ASSERT_GT(pages_before, 0u);
+  ASSERT_EQ(cached_before, pages_before);
+
+  fault.Arm(failpoints::kEnvAppendPage,
+            FaultSpec::ErrorNth(Status::IOError("injected"), 4));
+  EXPECT_TRUE(build(200).IsIOError());
+  EXPECT_EQ(fault.site_stats(failpoints::kEnvAppendPage).fires, 1u);
+  EXPECT_EQ(env.store()->TotalPages(), pages_before);
+  EXPECT_EQ(env.cache()->size(), cached_before);
 }
 
 }  // namespace

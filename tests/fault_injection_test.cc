@@ -238,11 +238,16 @@ INSTANTIATE_TEST_SUITE_P(
 // lands inside a retry-wrapped maintenance step, so with an adequate retry
 // budget NO error ever surfaces to the workload and the dataset stays
 // healthy. The MaintenanceStats counters must show the absorbed failures.
-TEST(FaultSelfHealingTest, TransientWriteFaultsAbsorbedByRetries) {
+// Runs on the serial merge path (1 thread) and the fanned-out one (4), so
+// both are covered whatever the host's core count.
+class FaultSelfHealingTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(FaultSelfHealingTest, TransientWriteFaultsAbsorbedByRetries) {
   FaultInjector fault(99);
   Env env(TestEnv(&fault));
   DatasetOptions o = Opts(MaintenanceStrategy::kEager, &fault);
   o.maintenance_retry_limit = 6;
+  o.maintenance_threads = GetParam();
   Dataset ds(&env, o);
   std::map<uint64_t, TweetRecord> model;
   Random rng(4040);
@@ -276,6 +281,9 @@ TEST(FaultSelfHealingTest, TransientWriteFaultsAbsorbedByRetries) {
 
   ValidateRecovered(&ds, model, "self-healing");
 }
+
+INSTANTIATE_TEST_SUITE_P(MaintenanceThreads, FaultSelfHealingTest,
+                         ::testing::Values(size_t{1}, size_t{4}));
 
 // Retry-budget exhaustion: a persistent transient fault on flush builds
 // degrades the dataset to read-only. Ingest fails fast with the sticky
