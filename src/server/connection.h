@@ -11,10 +11,12 @@
 // Thread model: Send() and Receive() are safe to call from one client
 // thread concurrently with the server's dispatch loop (the buffers are
 // mutex-guarded); the decode buffer, pending queue, and completion clock
-// are touched only by the server (single dispatch thread, or one worker
-// per connection when the server fans batches out — requests of one
-// connection are never processed concurrently, preserving per-connection
-// FIFO exactly like a real per-socket input queue).
+// are touched only by the server (single dispatch thread, or the one worker
+// that owns the connection's device-queue partition when the server fans
+// rounds out — requests of one connection are never processed
+// concurrently, preserving per-connection FIFO exactly like a real
+// per-socket input queue). Across connections the server interleaves
+// requests in modeled eligibility order (server/server.h).
 //
 // Device affinity: connection i binds to storage queue (i % Q) and log
 // queue (i % Qlog), so a multi-queue DeviceProfile serves connections'
@@ -106,7 +108,8 @@ class ClientConnection {
   /// Decoded requests awaiting dispatch.
   std::deque<Request> pending_ GUARDED_BY(pending_mu_);
   /// Modeled completion time of this connection's last finished request:
-  /// per-connection responses complete in FIFO order on the virtual clock.
+  /// per-connection responses complete in FIFO order on the virtual clock,
+  /// so the next request becomes eligible no earlier than this.
   double last_completion_us_ = 0;
   ConnectionStats stats_;
 };

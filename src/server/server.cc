@@ -1,8 +1,10 @@
 #include "server/server.h"
 
 #include <algorithm>
+#include <functional>
 #include <future>
 #include <numeric>
+#include <queue>
 #include <utility>
 
 #include "core/dataset.h"
@@ -56,6 +58,10 @@ RequestServer::RequestServer(Dataset* dataset, ServerOptions options)
     s->Set("server.batch_avg",
            st.batches > 0 ? double(st.requests_dispatched) / double(st.batches)
                           : 0);
+    // Mean modeled latency of stamped requests = wait + service averages.
+    const double n = double(std::max<uint64_t>(1, st.requests_dispatched));
+    s->Set("server.queue_wait_us_avg", st.queue_wait_us_total / n);
+    s->Set("server.service_us_avg", st.service_us_total / n);
   });
 }
 
@@ -85,62 +91,95 @@ void RequestServer::WriteResponse(ClientConnection* conn, Response r) {
   if (ctr_responses_ != nullptr) *ctr_responses_ += 1;
 }
 
-size_t RequestServer::DispatchBatch(ClientConnection* conn) {
-  std::vector<Request> batch = conn->TakeBatch(options_.max_batch);
-  if (batch.empty()) return 0;
-  if (ctr_batches_ != nullptr) *ctr_batches_ += 1;
+size_t RequestServer::DispatchRound(
+    const std::vector<ClientConnection*>& conns) {
+  struct Lane {
+    ClientConnection* conn;
+    std::vector<Request> batch;
+    size_t next = 0;
+  };
+  std::vector<Lane> lanes;
+  for (ClientConnection* c : conns) {
+    std::vector<Request> batch = c->TakeBatch(options_.max_batch);
+    if (batch.empty()) continue;
+    if (ctr_batches_ != nullptr) *ctr_batches_ += 1;
+    lanes.push_back(Lane{c, std::move(batch)});
+  }
+  // A lane's head becomes eligible at max(arrival, its connection's last
+  // completion); Serve() advances that completion, so a lane is re-keyed
+  // after each of its requests. Ties go to the lower lane, i.e. the lower
+  // connection id.
+  auto eligible_us = [&lanes](size_t i) {
+    const Lane& l = lanes[i];
+    return std::max(l.batch[l.next].arrival_us, l.conn->last_completion_us_);
+  };
+  using Key = std::pair<double, size_t>;  // (eligible_us, lane)
+  std::priority_queue<Key, std::vector<Key>, std::greater<Key>> heads;
+  for (size_t i = 0; i < lanes.size(); i++) heads.emplace(eligible_us(i), i);
+  size_t served = 0;
+  while (!heads.empty()) {
+    const size_t i = heads.top().second;
+    heads.pop();
+    Lane& l = lanes[i];
+    Serve(l.conn, l.batch[l.next++]);
+    served++;
+    if (l.next < l.batch.size()) heads.emplace(eligible_us(i), i);
+  }
+  return served;
+}
+
+void RequestServer::Serve(ClientConnection* conn, const Request& req) {
   IoEngine* const storage = ds_->env()->io();
   IoEngine* const log = ds_->wal()->io();
-  // Bind this batch's modeled I/O to the connection's device queues.
+  // Bind this request's modeled I/O to the connection's device queues.
   IoQueueScope storage_scope(storage, conn->io_queue());
   IoQueueScope log_scope(log, conn->log_queue());
-  for (const Request& req : batch) {
-    const double storage_before = storage->BoundQueueClock();
-    const double log_before = log->BoundQueueClock();
-    Response resp;
-    {
-      obs::TraceSpan span(options_.tracer, "server.request", "server",
-                          int32_t(conn->io_queue()));
-      resp = dispatcher_.Execute(req, conn->id());
-    }
-    const double service_us = (storage->BoundQueueClock() - storage_before) +
-                              (log->BoundQueueClock() - log_before);
-    double completion = 0;
-    {
-      MutexLock l(model_mu_);
-      double& queue_free =
-          queue_next_free_us_[conn->io_queue() % queue_next_free_us_.size()];
-      double start = std::max(queue_free, conn->last_completion_us_);
-      if (req.arrival_us > 0) start = std::max(start, req.arrival_us);
-      completion = start + service_us;
-      queue_free = completion;
-      conn->last_completion_us_ = completion;
-    }
-    const double latency_us =
-        req.arrival_us > 0 ? completion - req.arrival_us : service_us;
-    resp.completion_us = completion;
-    resp.latency_us = latency_us;
-    const ResponseCode code = resp.code;
-    WriteResponse(conn, std::move(resp));
-    {
-      MutexLock l(stats_mu_);
-      dispatched_++;
-      service_us_total_ += service_us;
-      if (code == ResponseCode::kRetryable) {
-        errors_++;
-        retryable_errors_++;
-      } else if (code == ResponseCode::kBadRequest ||
-                 code == ResponseCode::kError) {
-        errors_++;
-      }
-      if (options_.collect_latencies) latency_samples_.push_back(latency_us);
-    }
-    if (ctr_requests_ != nullptr) *ctr_requests_ += 1;
-    if (hist_latency_ != nullptr) {
-      hist_latency_->Record(uint64_t(latency_us * 1000.0));
-    }
+  const double storage_before = storage->BoundQueueClock();
+  const double log_before = log->BoundQueueClock();
+  Response resp;
+  {
+    obs::TraceSpan span(options_.tracer, "server.request", "server",
+                        int32_t(conn->io_queue()));
+    resp = dispatcher_.Execute(req, conn->id());
   }
-  return batch.size();
+  const double service_us = (storage->BoundQueueClock() - storage_before) +
+                            (log->BoundQueueClock() - log_before);
+  double start = 0, completion = 0;
+  {
+    MutexLock l(model_mu_);
+    double& queue_free =
+        queue_next_free_us_[conn->io_queue() % queue_next_free_us_.size()];
+    start = std::max(queue_free, conn->last_completion_us_);
+    if (req.arrival_us > 0) start = std::max(start, req.arrival_us);
+    completion = start + service_us;
+    queue_free = completion;
+    conn->last_completion_us_ = completion;
+  }
+  const double latency_us =
+      req.arrival_us > 0 ? completion - req.arrival_us : service_us;
+  const double wait_us = req.arrival_us > 0 ? start - req.arrival_us : 0;
+  resp.completion_us = completion;
+  resp.latency_us = latency_us;
+  const ResponseCode code = resp.code;
+  WriteResponse(conn, std::move(resp));
+  {
+    MutexLock l(stats_mu_);
+    dispatched_++;
+    service_us_total_ += service_us;
+    queue_wait_us_total_ += wait_us;
+    if (code == ResponseCode::kRetryable) {
+      errors_++;
+      retryable_errors_++;
+    } else if (code == ResponseCode::kBadRequest ||
+               code == ResponseCode::kError) {
+      errors_++;
+    }
+    if (options_.collect_latencies) latency_samples_.push_back(latency_us);
+  }
+  if (ctr_requests_ != nullptr) *ctr_requests_ += 1;
+  if (hist_latency_ != nullptr) {
+    hist_latency_->Record(uint64_t(latency_us * 1000.0));
+  }
 }
 
 size_t RequestServer::Poll() {
@@ -164,30 +203,25 @@ size_t RequestServer::Poll() {
       WriteResponse(c, std::move(r));
     }
   }
-  // Dispatch phase: one batch per connection per round, connections in id
-  // order (deterministic on the single-threaded path).
-  size_t dispatched = 0;
-  if (pool_ == nullptr) {
-    for (ClientConnection* c : open) dispatched += DispatchBatch(c);
-  } else {
-    // Partition connections over workers by device-queue equivalence class
-    // (id % gcd of queue counts): per-connection FIFO holds, and no two
-    // workers ever charge the same storage or log DiskModel queue.
-    const size_t workers = options_.worker_threads;
-    const size_t stride = queue_partition_stride_;
-    std::vector<std::future<size_t>> futures;
-    futures.reserve(workers);
-    for (size_t w = 0; w < workers; w++) {
-      futures.push_back(pool_->Submit([this, &open, w, workers, stride]() {
-        size_t n = 0;
-        for (ClientConnection* c : open) {
-          if ((c->id() % stride) % workers == w) n += DispatchBatch(c);
-        }
-        return n;
-      }));
-    }
-    for (auto& f : futures) dispatched += f.get();
+  // Dispatch phase: one batch per connection per round, served
+  // earliest-eligible first (deterministic on the single-threaded path).
+  if (pool_ == nullptr) return DispatchRound(open);
+  // Partition connections over workers by device-queue equivalence class
+  // (id % gcd of queue counts): every connection that can charge a given
+  // storage or log DiskModel queue lands in one partition, so no two
+  // workers share a queue and each queue's order is decided in one place.
+  std::vector<std::vector<ClientConnection*>> parts(options_.worker_threads);
+  for (ClientConnection* c : open) {
+    parts[(c->id() % queue_partition_stride_) % parts.size()].push_back(c);
   }
+  std::vector<std::future<size_t>> futures;
+  for (const std::vector<ClientConnection*>& part : parts) {
+    if (part.empty()) continue;
+    futures.push_back(
+        pool_->Submit([this, &part] { return DispatchRound(part); }));
+  }
+  size_t dispatched = 0;
+  for (auto& f : futures) dispatched += f.get();
   return dispatched;
 }
 
@@ -234,6 +268,7 @@ ServerStats RequestServer::stats() const {
     out.errors = errors_;
     out.retryable_errors = retryable_errors_;
     out.service_us_total = service_us_total_;
+    out.queue_wait_us_total = queue_wait_us_total_;
   }
   out.open_cursors = dispatcher_.open_cursors();
   return out;

@@ -21,23 +21,36 @@
 //                                         connection
 //   completion = start + service_us
 //
+// and start - arrival is the request's queueing wait (ServerStats).
 // Arrivals come from the open-loop driver (workload/open_loop.h) as Poisson
 // stamps in modeled microseconds; a slow request queues later arrivals
 // behind it (latency grows) instead of throttling them — the open-loop
 // property. A request with arrival_us == 0 is treated as arriving at its
 // start (latency == service time), which is the closed-loop degenerate.
 //
+// Dispatch order is work-conserving: within a round, the batches taken
+// from every connection that shares a device queue are merged, and the
+// request that became *eligible* first is served first — eligible =
+// max(arrival, its connection's previous completion), the earliest modeled
+// time it could start. A device queue therefore never sits idle while a
+// request that has already arrived waits behind a later arrival of a
+// lower-numbered connection, and each connection stays FIFO (only its head
+// request is ever eligible). Serving connections one whole batch at a time
+// instead would idle the queue until the current connection's next arrival
+// and charge that idle time to every request of the connections behind it.
+//
 // Determinism: with worker_threads == 1 (default) one dispatch thread
-// serves connections in id order, so modeled completions and latencies are
-// exact functions of the request streams — the fig24 serial DIGEST lines
-// pin this. worker_threads > 1 fans per-connection batches over a pool.
+// serves every connection in that order, so modeled completions and
+// latencies are exact functions of the request streams — the fig24 serial
+// DIGEST lines pin this. worker_threads > 1 fans the round over a pool.
 // Connections are partitioned across workers by device-queue equivalence
-// class (id % gcd(Q, Qlog)), which both keeps per-connection FIFO and pins
-// every connection that can charge a given DiskModel queue to one worker —
-// the modeled queues are unsynchronized, so two workers must never share
-// one. Cross-connection ordering across queues then depends on host
-// scheduling, trading determinism for wall-clock speed exactly like the
-// ingest pipeline.
+// class (id % gcd(Q, Qlog)), which pins every connection that can charge a
+// given DiskModel queue to one worker — the modeled queues are
+// unsynchronized, so two workers must never share one — and each worker
+// merges its partition the same way, so every device queue still serves in
+// eligibility order. Only the interleaving *across* partitions depends on
+// host scheduling, trading determinism for wall-clock speed exactly like
+// the ingest pipeline.
 #pragma once
 
 #include <cstdint>
@@ -100,6 +113,9 @@ struct ServerStats {
   uint64_t errors = 0;           ///< responses with code worse than kNotFound
   uint64_t retryable_errors = 0; ///< kRetryable subset
   double service_us_total = 0;   ///< summed modeled service time
+  /// Summed modeled queueing wait (start - arrival) of stamped requests:
+  /// their latencies sum to this plus their service times.
+  double queue_wait_us_total = 0;
   // Live gauges.
   uint64_t inflight_requests = 0;  ///< decoded, not yet dispatched
   uint64_t open_cursors = 0;       ///< parked query continuations
@@ -123,8 +139,9 @@ class RequestServer {
   void Disconnect(ClientConnection* conn);
 
   /// One round: decode every connection's inbound stream (damaged frames
-  /// answer immediately), then dispatch up to max_batch requests per
-  /// connection in id order. Returns the number of requests dispatched.
+  /// answer immediately), then take up to max_batch requests per connection
+  /// and dispatch them earliest-eligible first (see the header comment).
+  /// Returns the number of requests dispatched.
   size_t Poll();
 
   /// Polls until a round decodes and dispatches nothing.
@@ -139,9 +156,14 @@ class RequestServer {
   const ServerOptions& options() const { return options_; }
 
  private:
-  /// Dispatches one batch for `conn` under its queue bindings; returns the
+  /// Serves one round for `conns`, which must include every connection
+  /// that can charge their device queues: takes one batch from each and
+  /// dispatches the merged batches earliest-eligible first. Returns the
   /// number of requests served.
-  size_t DispatchBatch(ClientConnection* conn);
+  size_t DispatchRound(const std::vector<ClientConnection*>& conns);
+  /// Executes one request under its connection's queue bindings, stamps it
+  /// with the latency model and writes the response.
+  void Serve(ClientConnection* conn, const Request& req);
   void WriteResponse(ClientConnection* conn, Response r);
   /// Sum of decoded-not-dispatched requests over open connections.
   uint64_t InflightLocked() const REQUIRES(conns_mu_);
@@ -171,6 +193,7 @@ class RequestServer {
   uint64_t errors_ GUARDED_BY(stats_mu_) = 0;
   uint64_t retryable_errors_ GUARDED_BY(stats_mu_) = 0;
   double service_us_total_ GUARDED_BY(stats_mu_) = 0;
+  double queue_wait_us_total_ GUARDED_BY(stats_mu_) = 0;
   std::vector<double> latency_samples_ GUARDED_BY(stats_mu_);
 
   uint64_t metrics_source_id_ = 0;  ///< Dataset::AddMetricsSource handle

@@ -2,10 +2,12 @@
 // damaged frames), wire-vs-in-process result parity across all four
 // maintenance strategies, paginated cursor continuation over the wire,
 // degraded-mode mapping to retryable protocol errors, the server.* failpoint
-// seams, the service-side metrics gauges, and a concurrent-client stress for
-// TSan.
+// seams, the service-side metrics gauges, work-conserving dispatch order
+// across connections that share a device queue, and a concurrent-client
+// stress for TSan.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <string>
 #include <thread>
@@ -588,6 +590,202 @@ TEST(ServerTest, MetricsSnapshotCarriesServiceBacklog) {
   }
   // The server unregistered its metrics source on destruction.
   EXPECT_EQ(ds.MetricsSnapshot().values.count("server.connections"), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Dispatch order: each device queue serves earliest-eligible first
+// ---------------------------------------------------------------------------
+
+void SendAt(ClientConnection* c, Request req, double arrival_us) {
+  req.arrival_us = arrival_us;
+  c->Send(req.EncodeFrame());
+}
+
+Request MakeGet(uint64_t request_id, uint64_t id) {
+  Request q;
+  q.request_id = request_id;
+  q.type = RequestType::kGet;
+  q.id = id;
+  return q;
+}
+
+uint64_t UserOf(Dataset* ds, uint64_t id) {
+  TweetRecord rec;
+  EXPECT_TRUE(ds->GetById(id, &rec).ok());
+  return rec.user_id;
+}
+
+// Gets on a cost-free storage device have zero service time, so a
+// work-conserving queue starts every request the instant it arrives: no
+// latency at all. Serving connection by connection would make connection
+// 1's early arrivals wait for connection 0's late ones.
+TEST(DispatchOrderTest, SharedQueueNeverIdlesWhileARequestWaits) {
+  Env env(TestEnv());
+  Dataset ds(&env, Opts(MaintenanceStrategy::kEager));
+  for (uint64_t id = 1; id <= 20; id++) {
+    ASSERT_TRUE(ds.Upsert(MakeTweet(id, id % 4, id)).ok());
+  }
+  ASSERT_TRUE(ds.FlushAll().ok());
+  RequestServer srv(&ds, ServerOptions{});
+  std::vector<ClientConnection*> conns;
+  for (int i = 0; i < 3; i++) conns.push_back(srv.Connect());
+  // Per-connection arrivals rise; across connections they interleave.
+  const double arrivals[3][4] = {{100, 5000, 9000, 20000},
+                                 {200, 300, 6000, 7000},
+                                 {50, 8000, 8500, 30000}};
+  uint64_t rid = 1;
+  for (int i = 0; i < 3; i++) {
+    for (double a : arrivals[i]) {
+      SendAt(conns[size_t(i)], MakeGet(rid, 1 + rid % 20), a);
+      rid++;
+    }
+  }
+  ASSERT_EQ(srv.Poll(), 12u);  // one round takes every batch
+  for (int i = 0; i < 3; i++) {
+    const std::vector<Response> rs = conns[size_t(i)]->Receive();
+    ASSERT_EQ(rs.size(), 4u);
+    for (size_t k = 0; k < rs.size(); k++) {
+      EXPECT_EQ(rs[k].code, ResponseCode::kOk);
+      EXPECT_EQ(rs[k].latency_us, 0.0) << "connection " << i << " #" << k;
+      EXPECT_EQ(rs[k].completion_us, arrivals[i][k]);
+    }
+  }
+  EXPECT_EQ(srv.stats().queue_wait_us_total, 0.0);
+}
+
+// The dataset sees the requests in eligibility order too: the earlier
+// arrival's write lands first, whatever the connection ids.
+TEST(DispatchOrderTest, EarlierArrivalExecutesFirstAcrossConnections) {
+  Env env(TestEnv());
+  Dataset ds(&env, Opts(MaintenanceStrategy::kEager));
+  RequestServer srv(&ds, ServerOptions{});
+  ClientConnection* c0 = srv.Connect();
+  ClientConnection* c1 = srv.Connect();
+  SendAt(c0, MakeInsert(1, MakeTweet(1, 10, 1)), 2e6);
+  SendAt(c1, MakeInsert(2, MakeTweet(1, 20, 1)), 1e6);
+  srv.PollUntilIdle();
+  EXPECT_EQ(UserOf(&ds, 1), 10u);  // c1's earlier write was overwritten
+  const std::vector<Response> r0 = c0->Receive(), r1 = c1->Receive();
+  ASSERT_EQ(r0.size(), 1u);
+  ASSERT_EQ(r1.size(), 1u);
+  EXPECT_LT(r1[0].completion_us, r0[0].completion_us);
+  EXPECT_EQ(srv.stats().queue_wait_us_total, 0.0);  // a second apart
+
+  // An unstamped (closed-loop) request is eligible once its connection's
+  // previous request completed: c1's finished first, so c1 goes first.
+  c0->Send(MakeInsert(3, MakeTweet(1, 30, 1)).EncodeFrame());
+  c1->Send(MakeInsert(4, MakeTweet(1, 40, 1)).EncodeFrame());
+  srv.PollUntilIdle();
+  EXPECT_EQ(UserOf(&ds, 1), 30u);
+}
+
+// Fresh connections' unstamped requests are all eligible at once: ties go
+// to the lower connection id, the order the server always used.
+TEST(DispatchOrderTest, EligibilityTiesGoToLowerConnection) {
+  Env env(TestEnv());
+  Dataset ds(&env, Opts(MaintenanceStrategy::kEager));
+  RequestServer srv(&ds, ServerOptions{});
+  ClientConnection* c0 = srv.Connect();
+  ClientConnection* c1 = srv.Connect();
+  c1->Send(MakeInsert(1, MakeTweet(1, 10, 1)).EncodeFrame());
+  c0->Send(MakeInsert(2, MakeTweet(1, 20, 1)).EncodeFrame());
+  srv.PollUntilIdle();
+  EXPECT_EQ(UserOf(&ds, 1), 10u);
+}
+
+// A connection's requests stay FIFO even when its arrival stamps run
+// backwards (a cursor continuation is stamped with the previous page's
+// completion): only the head of a connection is ever eligible.
+TEST(DispatchOrderTest, ConnectionStaysFifoWhenStampsRunBackwards) {
+  Env env(TestEnv());
+  Dataset ds(&env, Opts(MaintenanceStrategy::kEager));
+  RequestServer srv(&ds, ServerOptions{});
+  ClientConnection* c0 = srv.Connect();
+  ClientConnection* c1 = srv.Connect();
+  SendAt(c0, MakeInsert(1, MakeTweet(1, 10, 1)), 9000);
+  SendAt(c0, MakeInsert(2, MakeTweet(1, 20, 1)), 100);
+  SendAt(c1, MakeInsert(3, MakeTweet(2, 30, 2)), 500);
+  srv.PollUntilIdle();
+  EXPECT_EQ(UserOf(&ds, 1), 20u);
+  const std::vector<Response> r0 = c0->Receive(), r1 = c1->Receive();
+  ASSERT_EQ(r0.size(), 2u);
+  ASSERT_EQ(r1.size(), 1u);
+  EXPECT_EQ(r0[0].request_id, 1u);
+  EXPECT_EQ(r0[1].request_id, 2u);
+  EXPECT_LE(r1[0].completion_us, r0[0].completion_us);
+  EXPECT_LE(r0[0].completion_us, r0[1].completion_us);
+  // The second request arrived "early" but had to wait for the first.
+  EXPECT_GT(r0[1].latency_us, r0[0].latency_us);
+}
+
+// Latency decomposes into queueing wait plus service: a burst that arrives
+// at one instant queues on the single device queue, the queue never idles
+// until the burst is done, and the snapshot carries both averages.
+TEST(DispatchOrderTest, LatencyIsQueueWaitPlusService) {
+  EnvOptions eo = TestEnv();
+  eo.disk_profile = DiskProfile::Ssd();  // reads cost modeled time
+  eo.cache_pages = 4;                    // ... and mostly miss
+  Env env(eo);
+  Dataset ds(&env, Opts(MaintenanceStrategy::kEager));
+  for (uint64_t id = 1; id <= 200; id++) {
+    ASSERT_TRUE(ds.Upsert(MakeTweet(id, id % 7, id)).ok());
+  }
+  ASSERT_TRUE(ds.FlushAll().ok());
+  RequestServer srv(&ds, ServerOptions{});
+  std::vector<ClientConnection*> conns;
+  for (int i = 0; i < 4; i++) conns.push_back(srv.Connect());
+  constexpr double kBurstUs = 1000;
+  for (uint64_t id = 1; id <= 12; id++) {
+    SendAt(conns[id % 4], MakeGet(id, id * 16), kBurstUs);
+  }
+  srv.PollUntilIdle();
+  double latency_sum = 0, makespan = 0;
+  for (ClientConnection* c : conns) {
+    for (const Response& r : c->Receive()) {
+      ASSERT_EQ(r.code, ResponseCode::kOk);
+      latency_sum += r.latency_us;
+      makespan = std::max(makespan, r.completion_us);
+    }
+  }
+  const ServerStats st = srv.stats();
+  ASSERT_EQ(st.requests_dispatched, 12u);
+  ASSERT_GT(st.service_us_total, 0.0);  // the log device charges commits
+  EXPECT_GT(st.queue_wait_us_total, 0.0);
+  EXPECT_NEAR(latency_sum, st.queue_wait_us_total + st.service_us_total,
+              1e-6 * latency_sum);
+  EXPECT_NEAR(makespan, kBurstUs + st.service_us_total, 1e-6 * makespan);
+  const obs::MetricsSnapshot s = ds.MetricsSnapshot();
+  EXPECT_NEAR(s.values.at("server.queue_wait_us_avg"),
+              st.queue_wait_us_total / 12, 1e-9);
+  EXPECT_NEAR(s.values.at("server.service_us_avg"), st.service_us_total / 12,
+              1e-9);
+}
+
+// With a worker pool each device-queue partition is merged by one worker,
+// so each queue still serves its earliest arrival first.
+TEST(DispatchOrderTest, WorkerPartitionsKeepArrivalOrderPerQueue) {
+  EnvOptions eo = TestEnv();
+  eo.io_queues = 2;
+  Env env(eo);
+  DatasetOptions o = Opts(MaintenanceStrategy::kEager);
+  o.writer_threads = 4;
+  o.log_queues = 2;
+  Dataset ds(&env, o);
+  ServerOptions so;
+  so.worker_threads = 2;
+  RequestServer srv(&ds, so);
+  std::vector<ClientConnection*> conns;
+  for (int i = 0; i < 4; i++) conns.push_back(srv.Connect());
+  // Connections 0 and 2 share queue 0, 1 and 3 share queue 1; in each pair
+  // the higher id arrives first.
+  SendAt(conns[0], MakeInsert(1, MakeTweet(1, 10, 1)), 2e6);
+  SendAt(conns[2], MakeInsert(2, MakeTweet(1, 20, 1)), 1e6);
+  SendAt(conns[1], MakeInsert(3, MakeTweet(2, 30, 2)), 2e6);
+  SendAt(conns[3], MakeInsert(4, MakeTweet(2, 40, 2)), 1e6);
+  EXPECT_EQ(srv.PollUntilIdle(), 4u);
+  EXPECT_EQ(UserOf(&ds, 1), 10u);
+  EXPECT_EQ(UserOf(&ds, 2), 30u);
+  EXPECT_EQ(srv.stats().queue_wait_us_total, 0.0);
 }
 
 // ---------------------------------------------------------------------------
