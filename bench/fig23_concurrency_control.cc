@@ -119,8 +119,8 @@ MultiWriterResult RunMultiWriterIngest(int writers, BuildCcMethod method,
   o.strategy = MaintenanceStrategy::kMutableBitmap;
   o.build_cc = method;
   o.writer_threads = size_t(writers);
-  // writers == 1 pins both the serial write path and the serial maintenance
-  // engine (the legacy inline baseline).
+  // writers == 1 pins both the one-writer path and the inline maintenance
+  // engine (the serial baseline).
   o.maintenance_threads = writers == 1 ? 1 : 0;
   o.mem_budget_bytes = 2u << 20;
   o.log_queues = queues;
@@ -329,8 +329,8 @@ int main(int argc, char** argv) {
   PrintHeader("Fig23d",
               "multi-writer ingest scaling (writer-group pipeline, wall_s)");
   PrintNote(
-      "writers=1 is the legacy serial path (inline flush/merge); >1 runs "
-      "background seal/flush/merge with group-commit WAL and the given "
+      "writers=1 runs the maintenance cycle inline on the overrunning op; "
+      ">1 runs it on a background thread with group-commit WAL and the given "
       "merge CC method (Baseline = stop-the-world). Wall time only; the "
       "modeled-I/O figures above stay pinned to the serial engine.");
   const uint64_t scaling_records = flags.tiny ? 8000 : 60000;
@@ -395,8 +395,8 @@ int main(int argc, char** argv) {
               "sustained-overload ingest latency: coupled vs decoupled "
               "merge scheduling");
   PrintNote(
-      "per-op wall latency percentiles (ms); depth=0 = legacy coupled "
-      "cycle (merges inline), depth>0 = per-tree merge queues with "
+      "per-op wall latency percentiles (ms); depth=0 = coupled cycle "
+      "(merges inside the cycle), depth>0 = per-tree merge queues with "
       "bounded-backlog backpressure. Worst stall drops from ~merge time "
       "to ~flush time.");
   const uint64_t overload_records = flags.tiny ? 12000 : 60000;

@@ -123,16 +123,7 @@ Dataset::Dataset(Env* env, DatasetOptions options)
                                   : options_.merge_partition_min_bytes;
   mopts.io = env_->io();  // queue affinity for fanned-out maintenance tasks
   mopts.fault = options_.fault_injector;
-  auto scheduler = std::make_unique<MaintenanceScheduler>(mopts);
-  // threads == 1 keeps the serial code paths untouched (no scheduler) —
-  // unless decoupled merge scheduling needs the scheduler for its per-tree
-  // merge queues (the engine then still runs every task inline/serially;
-  // engine_parallel() keeps the serial code paths routed as before).
-  const bool decoupled_merges =
-      options_.merge_queue_depth > 0 && multi_writer();
-  if (scheduler->parallel() || decoupled_merges) {
-    maintenance_ = std::move(scheduler);
-  }
+  maintenance_ = std::make_unique<MaintenanceScheduler>(mopts);
   // Multi-writer commits batch their modeled log syncs (group commit).
   if (multi_writer()) wal_.set_group_commit(true);
   // Thread the fault injector through the WAL seams (Env/cache/IO sites are
@@ -167,10 +158,6 @@ Dataset::Dataset(Env* env, DatasetOptions options)
     wal_.io()->set_tracer(tracer_.get());
     env_->io()->set_tracer(tracer_.get());  // detached in ~Dataset
   }
-}
-
-bool Dataset::engine_parallel() const {
-  return maintenance_ != nullptr && maintenance_->parallel();
 }
 
 Dataset::~Dataset() {
@@ -216,13 +203,11 @@ Status Dataset::JoinFlushCycle() {
 
 Status Dataset::WaitForMaintenance() {
   Status s = JoinFlushCycle();
-  if (maintenance_ != nullptr) {
-    // Decoupled merge scheduling: quiescing means the merge queues are empty
-    // too, and their sticky first error surfaces here (a no-op with empty
-    // queues, i.e. on every coupled configuration).
-    const Status merge = maintenance_->DrainMerges();
-    if (s.ok()) s = merge;
-  }
+  // Decoupled merge scheduling: quiescing means the merge queues are empty
+  // too, and their sticky first error surfaces here (a no-op with empty
+  // queues, i.e. on every coupled configuration).
+  const Status merge = maintenance_->DrainMerges();
+  if (s.ok()) s = merge;
   return s;
 }
 
@@ -238,15 +223,14 @@ Status Dataset::TakeBackgroundError() {
       bg_status_ = Status::OK();
     }
   }
-  if (s.ok() && maintenance_ != nullptr) s = maintenance_->TakeMergeError();
+  if (s.ok()) s = maintenance_->TakeMergeError();
   // Degraded mode lifts only once no sticky error remains in either class —
   // taking the flush error while a merge error is still queued keeps ingest
   // fail-fast until that one is taken too.
   bool clear;
   {
     MutexLock l(bg_mu_);
-    clear = bg_status_.ok() &&
-            (maintenance_ == nullptr || !maintenance_->has_merge_error());
+    clear = bg_status_.ok() && !maintenance_->has_merge_error();
   }
   if (clear) degraded_.store(false, std::memory_order_release);
   return s;
@@ -315,24 +299,15 @@ Status Dataset::DegradedError() {
     MutexLock l(bg_mu_);
     if (!bg_status_.ok()) return bg_status_;
   }
-  if (maintenance_ != nullptr) {
-    const Status s = maintenance_->merge_error();
-    if (!s.ok()) return s;
-  }
+  const Status s = maintenance_->merge_error();
+  if (!s.ok()) return s;
   // The flag is set but both sticky slots already drained (a concurrent
   // taker raced us): report the state rather than inventing an error.
   return Status::Aborted("dataset degraded: maintenance failed");
 }
 
-Status Dataset::MaintainAsync(bool in_explicit_txn) {
-  {
-    MutexLock l(bg_mu_);
-    AUXLSM_RETURN_NOT_OK(bg_status_);  // surface sticky pipeline errors
-  }
-  if (merge_queues_enabled() && maintenance_->has_merge_error()) {
-    AUXLSM_RETURN_NOT_OK(maintenance_->merge_error());  // rare slow path
-  }
-  if (MemComponentBytes() < options_.mem_budget_bytes) return Status::OK();
+void Dataset::CheckBudgetAndMaintain(bool in_explicit_txn) {
+  if (MemComponentBytes() < options_.mem_budget_bytes) return;
   // Deadlock guard: only the §5.3 Lock-method builder takes record locks
   // during a merge, so only there can "merge waits on a transaction's lock,
   // the transaction's thread waits on the merge" form a cycle no timeout
@@ -345,6 +320,10 @@ Status Dataset::MaintainAsync(bool in_explicit_txn) {
       in_explicit_txn &&
       options_.strategy == MaintenanceStrategy::kMutableBitmap &&
       options_.build_cc == BuildCcMethod::kLock;
+  // The waits' statuses are dropped on purpose: the op already committed,
+  // so it must not report a maintenance failure (an op that returns an
+  // error has no effect). A failed cycle degrades the dataset instead, and
+  // the next op fails fast before any effect.
   if (merge_queues_enabled()) {
     // Bounded merge-backlog backpressure: writers stall only while the merge
     // queues are more than merge_queue_depth flush rounds behind — they wait
@@ -357,19 +336,34 @@ Status Dataset::MaintainAsync(bool in_explicit_txn) {
     // *flush* cycle only (merges are queued elsewhere), so this wait is
     // bounded by flush time — the decoupling payoff.
     if (MemComponentBytes() >= 2 * options_.mem_budget_bytes) {
-      AUXLSM_RETURN_NOT_OK(JoinFlushCycle());
+      JoinFlushCycle();
     }
   } else if (!skip_merge_waits &&
              MemComponentBytes() >= 2 * options_.mem_budget_bytes) {
-    // Coupled legacy backpressure: wait for the whole cycle, merges
-    // included — which is why Lock-method explicit-txn threads must skip it
-    // (the cycle's merge phase can be blocked on one of their locks: the
-    // same deadlock, present since the pipeline landed, closed here too).
-    AUXLSM_RETURN_NOT_OK(WaitForMaintenance());
+    // Coupled backpressure: wait for the whole cycle, merges included —
+    // which is why Lock-method explicit-txn threads must skip it (the
+    // cycle's merge phase can be blocked on one of their locks). With one
+    // writer the cycle runs inline on another calling thread (it takes no
+    // record locks): wait until it releases the admission.
+    if (multi_writer()) {
+      WaitForMaintenance();
+    } else {
+      MutexLock l(bg_mu_);
+      while (bg_active_.load(std::memory_order_acquire)) bg_cv_.Wait(bg_mu_);
+    }
   }
+  // A failed cycle launches no further one; the next op fails fast.
+  if (degraded_.load(std::memory_order_acquire)) return;
   bool expected = false;
   if (!bg_active_.compare_exchange_strong(expected, true)) {
-    return Status::OK();  // a cycle is already running
+    return;  // a cycle is already running
+  }
+  if (!multi_writer()) {
+    // One writer: the op that overran runs the cycle inline.
+    const Status s = MaintenanceCycle();
+    if (!s.ok()) MarkDegraded(s);
+    ReleaseAdmission();
+    return;
   }
   // Sole launcher from here: reap the previous cycle's thread, start ours.
   std::thread prev;
@@ -385,31 +379,75 @@ Status Dataset::MaintainAsync(bool in_explicit_txn) {
     // error): store the sticky error and degrade to read-only until the
     // caller takes it (TakeBackgroundError).
     if (!s.ok()) MarkDegraded(s);
-    bg_active_.store(false, std::memory_order_release);
+    ReleaseAdmission();
   });
-  return Status::OK();
+}
+
+void Dataset::ReleaseAdmission() {
+  {
+    MutexLock l(bg_mu_);
+    bg_active_.store(false, std::memory_order_release);
+  }
+  bg_cv_.NotifyAll();
 }
 
 Status Dataset::MaintenanceCycle() {
   obs::TraceSpan cycle_span(tracer_.get(), "maintenance.cycle", "maintenance");
   const auto cycle_wall0 = std::chrono::steady_clock::now();
-  // Phase 1 — seal: a brief exclusive section swaps every tree's memtable;
-  // writers resume into fresh ones while the sealed set is built.
+  AUXLSM_ASSIGN_OR_RETURN(const bool flushed,
+                          FlushMemtables(/*forced=*/false));
+  if (!flushed) return Status::OK();
+
+  // Merges off-latch. Writers only mutate memtables (and, under
+  // Mutable-bitmap, old components' bitmaps — which CorrelatedMerge
+  // excludes or routes through the §5.3 concurrency-control machinery), so
+  // merges are safe against concurrent ingestion. Decoupled mode hands the
+  // jobs to the per-tree merge queues instead, so this cycle — and with it
+  // the *next* seal/install — never waits on a merge backlog. Every cycle
+  // enqueues its round: a tree whose earlier jobs already retired would
+  // otherwise never see this cycle's installs. The backlog stays bounded
+  // anyway: writers wait at merge_queue_depth before launching a cycle, and
+  // each of the at-most-writer_threads threads parked between that wait and
+  // the launch can add one stale round.
+  Status s;
+  if (merge_queues_enabled()) {
+    maintenance_->EnqueueMergeRound(MergeJobs());
+  } else {
+    obs::TraceSpan merge_span(tracer_.get(), "merge", "maintenance");
+    std::vector<std::function<Status()>> tasks;
+    for (auto& job : MergeJobs()) tasks.push_back(std::move(job.work));
+    s = maintenance_->RunAll(std::move(tasks));
+  }
+  if (hist_cycle_wall_ != nullptr) {
+    hist_cycle_wall_->Record(uint64_t(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - cycle_wall0)
+            .count()));
+  }
+  return s;
+}
+
+Result<bool> Dataset::FlushMemtables(bool forced) {
+  // Seal: a brief exclusive section swaps every tree's memtable; writers
+  // resume into fresh ones while the sealed set is built.
   std::vector<std::pair<LsmTree*, std::shared_ptr<Memtable>>> sealed;
   Lsn flush_lsn = kInvalidLsn;
   {
     obs::TraceSpan seal_span(tracer_.get(), "seal", "maintenance");
     WriteLatchGuard latch(ingest_mu_);
-    if (MemComponentBytes() < options_.mem_budget_bytes) {
-      return Status::OK();  // another path already resolved the overrun
+    if (!forced && MemComponentBytes() < options_.mem_budget_bytes) {
+      return false;  // another path already resolved the overrun
     }
     // No-steal: an open explicit transaction may have uncommitted effects in
     // the memtables — sealing them would flush uncommitted data to disk and
     // strand the rollback closures. Auto-commit transactions live entirely
     // inside a shared-latch hold, so under the exclusive latch any active
-    // count is explicit ones; defer the cycle until they close (a later
-    // ingest op re-triggers it).
-    if (txns_.active_transactions() > 0) return Status::OK();
+    // count is explicit ones. A budget-triggered flush defers until they
+    // close (a later ingest op re-triggers it); FlushAll reports Busy.
+    if (txns_.active_transactions() > 0) {
+      if (forced) return Status::Busy("flush: explicit transaction open");
+      return false;
+    }
     for (LsmTree* t : AllTrees()) {
       t->SealMemtable();
       // Collect every pending sealed memtable, not just the fresh one: a
@@ -419,60 +457,49 @@ Status Dataset::MaintenanceCycle() {
     }
     flush_lsn = wal_.tail_lsn();
   }
-  if (sealed.empty()) return Status::OK();
+  if (sealed.empty()) return false;
 
-  // Phase 2 — build the flushed components off-latch (fanned out on the
-  // maintenance engine when it is active; distinct trees, distinct files).
-  // Each build runs under the transient-retry policy; a failed build leaves
-  // its sealed memtable in place, so no data is lost (WAL + sealed state).
+  // Build the flushed components off-latch on the scheduler (distinct
+  // trees, distinct files; inline at one maintenance thread). Each build
+  // runs under the transient-retry policy; a failed build leaves its sealed
+  // memtable in place, so no data is lost (WAL + sealed state).
   FaultInjector* const fault = options_.fault_injector;
   std::vector<DiskComponentPtr> built(sealed.size());
-  auto build_one = [&](size_t i) -> Status {
-    const std::string& tree = sealed[i].first->options().name;
-    obs::TraceSpan build_span(tracer_.get(),
-                              ("flush_build(" + tree + ")").c_str(),
-                              "maintenance",
-                              int32_t(env_->io()->BoundQueue()));
-    const auto wall0 = std::chrono::steady_clock::now();
-    const Status s = RunWithRetry(
-        "flush(" + tree + ")", [&, i]() -> Status {
-          if (fault != nullptr) {
-            AUXLSM_RETURN_NOT_OK(
-                fault->Hit(failpoints::kFlushBuild, env_->io()));
-          }
-          AUXLSM_ASSIGN_OR_RETURN(
-              built[i], sealed[i].first->BuildFromSealed(sealed[i].second));
-          return Status::OK();
-        });
-    if (hist_flush_build_wall_ != nullptr) {
-      hist_flush_build_wall_->Record(uint64_t(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - wall0)
-              .count()));
-    }
-    return s;
-  };
-  if (engine_parallel()) {
-    std::vector<std::function<Status()>> tasks;
-    for (size_t i = 0; i < sealed.size(); i++) {
-      tasks.push_back([&build_one, i]() { return build_one(i); });
-    }
-    AUXLSM_RETURN_NOT_OK(maintenance_->RunAll(std::move(tasks)));
-  } else {
-    for (size_t i = 0; i < sealed.size(); i++) {
-      // Inline build still spreads trees over device queues: modeled device
-      // concurrency does not require host concurrency (no-op on one queue).
-      IoQueueScope io_scope(env_->io(), uint32_t(i));
-      AUXLSM_RETURN_NOT_OK(build_one(i));
-    }
+  std::vector<std::function<Status()>> builds;
+  builds.reserve(sealed.size());
+  for (size_t i = 0; i < sealed.size(); i++) {
+    builds.push_back([this, fault, &sealed, &built, i]() -> Status {
+      const std::string& tree = sealed[i].first->options().name;
+      obs::TraceSpan build_span(tracer_.get(),
+                                ("flush_build(" + tree + ")").c_str(),
+                                "maintenance",
+                                int32_t(env_->io()->BoundQueue()));
+      const auto wall0 = std::chrono::steady_clock::now();
+      const Status s = RunWithRetry("flush(" + tree + ")", [&]() -> Status {
+        if (fault != nullptr) {
+          AUXLSM_RETURN_NOT_OK(fault->Hit(failpoints::kFlushBuild, env_->io()));
+        }
+        AUXLSM_ASSIGN_OR_RETURN(
+            built[i], sealed[i].first->BuildFromSealed(sealed[i].second));
+        return Status::OK();
+      });
+      if (hist_flush_build_wall_ != nullptr) {
+        hist_flush_build_wall_->Record(uint64_t(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - wall0)
+                .count()));
+      }
+      return s;
+    });
   }
+  AUXLSM_RETURN_NOT_OK(maintenance_->RunAll(std::move(builds)));
 
-  // Phase 3 — install under the latch: all trees' components appear
-  // atomically w.r.t. ingestion, preserving the positional alignment that
-  // correlated merges and bitmap sharing rely on. The install failpoint is
-  // consulted ONCE, before any tree installs — an injected install error is
-  // all-or-nothing (no tree installed), never a partial install that would
-  // break the positional alignment.
+  // Install under the latch: all trees' components appear atomically w.r.t.
+  // ingestion, preserving the positional alignment that correlated merges
+  // and bitmap sharing rely on. The install failpoint is consulted ONCE,
+  // before any tree installs — an injected install error is all-or-nothing
+  // (no tree installed), never a partial install that would break the
+  // positional alignment.
   {
     obs::TraceSpan install_span(tracer_.get(), "install", "maintenance");
     WriteLatchGuard latch(ingest_mu_);
@@ -487,6 +514,8 @@ Status Dataset::MaintenanceCycle() {
       built[i]->set_max_lsn(flush_lsn);
     }
     if (options_.strategy == MaintenanceStrategy::kMutableBitmap) {
+      // The primary and primary key index share one validity bitmap per
+      // component (§5.1).
       if (pk_index_) {
         auto pcomps = primary_->Components();
         auto kcomps = pk_index_->Components();
@@ -499,63 +528,28 @@ Status Dataset::MaintenanceCycle() {
     }
     stats_.flushes++;
   }
-
-  // Phase 4 — merges off-latch. Writers only mutate memtables (and, under
-  // Mutable-bitmap, old components' bitmaps — which CorrelatedMerge routes
-  // through the §5.3 concurrency-control machinery), so merges are safe
-  // against concurrent ingestion. Decoupled mode hands the work to the
-  // per-tree merge queues instead, so this cycle — and with it the *next*
-  // seal/install — never waits on a merge backlog.
-  auto record_cycle_wall = [&]() {
-    if (hist_cycle_wall_ != nullptr) {
-      hist_cycle_wall_->Record(uint64_t(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - cycle_wall0)
-              .count()));
-    }
-  };
-  if (merge_queues_enabled()) {
-    // Every cycle enqueues its round unconditionally: a tree whose earlier
-    // jobs already retired would otherwise never see this cycle's installs
-    // (no re-enqueue path exists outside a flush cycle), leaving a quiesced
-    // dataset above its merge policy. Backlog stays bounded anyway: writers
-    // wait at merge_queue_depth before launching a cycle, and each of the
-    // at-most-writer_threads threads parked between that wait and the CAS
-    // can add one stale round — ≤ depth + writer_threads rounds total.
-    EnqueueMergeWork();
-    record_cycle_wall();
-    return Status::OK();
-  }
-  Status s;
-  {
-    obs::TraceSpan merge_span(tracer_.get(), "merge", "maintenance");
-    s = RunMerges();
-  }
-  record_cycle_wall();
-  return s;
+  return true;
 }
 
-void Dataset::EnqueueMergeWork() {
-  // One round = one job per serial merge stream: the whole dataset under
-  // correlated merges (every index merges in lock step with the anchor), one
-  // per tree otherwise. Jobs sharing a key run serially in FIFO order on the
-  // scheduler's merge queues, preserving the per-tree merge serialization
-  // invariant; redundant jobs (the tree's policy is already satisfied when
-  // they run) are cheap no-op policy checks, and the round count is exactly
-  // how many flush cycles the merge queues are running behind.
-  std::vector<MaintenanceScheduler::MergeJob> round;
-  auto add = [&](LsmTree* accounting_tree, MaintenanceScheduler::MergeKey key,
-                 std::function<Status()> work) {
-    accounting_tree->BeginQueuedMerge();
-    const std::string what =
-        "merge_job(" + accounting_tree->options().name + ")";
-    round.push_back(MaintenanceScheduler::MergeJob{
-        key, [this, accounting_tree, what, work = std::move(work)]() {
-          // Transient job failures retry in place on the queue (the work
-          // re-picks its merge inputs each run, so a retry sees the current
-          // component lists). This is the merge-round retry policy the
-          // decoupled scheduling PR deferred. EndQueuedMerge runs no matter
-          // what — a failed job must never leave the accounting wedged.
+std::vector<MaintenanceScheduler::MergeJob> Dataset::MergeJobs() {
+  // One job per serial merge stream: the whole dataset under correlated
+  // merges (every index merges in lock step with the anchor), one per tree
+  // otherwise. On the merge queues, jobs sharing a key run serially in FIFO
+  // order, preserving the per-tree merge serialization invariant; redundant
+  // jobs (the tree's policy is already satisfied when they run) are cheap
+  // no-op policy checks. Secondary repair/deleted-key jobs read the
+  // primary-key index concurrently with its own merge — safe because readers
+  // work on component snapshots and ReplaceComponents swaps atomically.
+  std::vector<MaintenanceScheduler::MergeJob> jobs;
+  auto add = [&](LsmTree* tree, std::function<Status()> work) {
+    tree->BeginQueuedMerge();
+    const std::string what = "merge_job(" + tree->options().name + ")";
+    jobs.push_back(MaintenanceScheduler::MergeJob{
+        tree, [this, tree, what, work = std::move(work)]() {
+          // Transient job failures retry the whole job (the work re-picks
+          // its merge inputs each run, so a retry sees the current component
+          // lists). EndQueuedMerge runs no matter what — a failed job must
+          // never leave the accounting wedged.
           FaultInjector* const fault = options_.fault_injector;
           Status s;
           {
@@ -576,64 +570,52 @@ void Dataset::EnqueueMergeWork() {
                       .count()));
             }
           }
-          accounting_tree->EndQueuedMerge();
-          // Flag-only degrade: the scheduler keeps the sticky error itself
-          // (storing a copy in bg_status_ would double-report it).
+          tree->EndQueuedMerge();
+          // Flag-only degrade: a queued job's error stays sticky in the
+          // scheduler, a coupled job's returns through MaintenanceCycle
+          // (storing a copy in bg_status_ here would double-report it).
           if (!s.ok()) MarkDegraded();
           return s;
         }});
   };
   if (options_.correlated_merges) {
-    LsmTree* anchor = pk_index_ ? pk_index_.get() : primary_.get();
-    add(anchor, anchor, [this]() { return CorrelatedMerge(/*decoupled=*/true); });
-    maintenance_->EnqueueMergeRound(std::move(round));
-    return;
+    add(pk_index_ ? pk_index_.get() : primary_.get(),
+        [this]() { return CorrelatedMerge(); });
+    return jobs;
   }
-  add(primary_.get(), primary_.get(), [this]() {
-    uint64_t merges = 0;
-    const Status s = maintenance_->MergeToPolicy(primary_.get(), &merges);
-    stats_.merges += merges;
-    return s;
-  });
-  if (pk_index_ != nullptr) {
-    add(pk_index_.get(), pk_index_.get(), [this]() {
+  for (LsmTree* t : {primary_.get(), pk_index_.get()}) {
+    if (t == nullptr) continue;
+    add(t, [this, t]() {
       uint64_t merges = 0;
-      const Status s = maintenance_->MergeToPolicy(pk_index_.get(), &merges);
+      const Status s = maintenance_->MergeToPolicy(t, &merges);
       stats_.merges += merges;
       return s;
     });
   }
   for (auto& sp : secondaries_) {
     SecondaryIndex* s = sp.get();
-    add(s->tree.get(), s->tree.get(), [this, s]() {
+    add(s->tree.get(), [this, s]() {
       uint64_t merges = 0, repairs = 0;
-      const Status st =
-          SecondaryMergesToPolicy(s, &merges, &repairs, /*decoupled=*/true);
+      const Status st = SecondaryMergesToPolicy(s, &merges, &repairs);
       stats_.merges += merges;
       stats_.repairs += repairs;
       return st;
     });
   }
-  maintenance_->EnqueueMergeRound(std::move(round));
+  return jobs;
 }
 
 Status Dataset::SecondaryMergesToPolicy(SecondaryIndex* s, uint64_t* merges,
-                                        uint64_t* repairs, bool decoupled) {
+                                        uint64_t* repairs) {
   if (options_.strategy == MaintenanceStrategy::kValidation &&
       options_.merge_repair) {
     return MergeRepairToPolicy(s, merges, repairs);
   }
   if (options_.strategy == MaintenanceStrategy::kDeletedKeyBtree) {
-    return DeletedKeyMergesToPolicy(s, merges, decoupled);
+    return DeletedKeyMergesToPolicy(s, merges);
   }
-  auto plain = [this, s, merges]() -> Status {
-    AUXLSM_RETURN_NOT_OK(maintenance_->MergeToPolicy(s->tree.get(), merges));
-    return maintenance_->MergeToPolicy(s->deleted_keys.get(), merges);
-  };
-  // A decoupled merge job already retries as a whole; the fan-out path has
-  // no outer retry, so transient failures retry here as in RunMerges.
-  if (decoupled) return plain();
-  return RunWithRetry("merge(" + s->def.name + ")", plain);
+  AUXLSM_RETURN_NOT_OK(maintenance_->MergeToPolicy(s->tree.get(), merges));
+  return maintenance_->MergeToPolicy(s->deleted_keys.get(), merges);
 }
 
 void Dataset::RecordBitmapFixup(const std::string& pk, Timestamp ts) {
@@ -695,127 +677,17 @@ Status Dataset::FixupFlushedBitmap() {
 
 Status Dataset::FlushAll() {
   AUXLSM_RETURN_NOT_OK(WaitForMaintenance());
-  WriteLatchGuard l(ingest_mu_);
-  return FlushAllLocked();
-}
-
-Status Dataset::FlushAllLocked() {
-  ingest_mu_.AssertHeld();
-  const Lsn flush_lsn = wal_.tail_lsn();
-  FaultInjector* const fault = options_.fault_injector;
-  // Phase 1 — seal every tree (the caller holds the exclusive latch). The
-  // slot number preserves the legacy per-tree device-queue binding (one slot
-  // per enumerated tree position, occupied or not), so multi-queue simulated
-  // charges are bit-for-bit the pre-restructure costs.
-  struct PendingFlush {
-    LsmTree* tree;
-    std::shared_ptr<Memtable> mem;
-    uint32_t slot;
-  };
-  std::vector<PendingFlush> sealed;
+  // Take the cycle admission, so no budget-triggered cycle seals or
+  // installs between this flush's seal and install.
   {
-    obs::TraceSpan seal_span(tracer_.get(), "seal", "maintenance");
-    uint32_t slot = 0;
-    auto collect = [&](LsmTree* t) {
-      const uint32_t my_slot = slot++;
-      if (t == nullptr) return;
-      t->SealMemtable();
-      for (auto& m : t->PendingSealed()) {
-        sealed.push_back(PendingFlush{t, m, my_slot});
-      }
-    };
-    collect(primary_.get());
-    collect(pk_index_.get());
-    for (auto& s : secondaries_) {
-      collect(s->tree.get());
-      collect(s->deleted_keys.get());
+    MutexLock l(bg_mu_);
+    while (bg_active_.exchange(true, std::memory_order_acq_rel)) {
+      bg_cv_.Wait(bg_mu_);
     }
   }
-
-  // Phase 2 — build all components, then install all (phase 3): a build
-  // failure (injected or real) leaves every tree uninstalled and its sealed
-  // memtables intact, instead of some trees flushed and others not — the
-  // partial state that breaks the positional alignment correlated merges
-  // and bitmap sharing rely on. Builds run under the transient-retry policy.
-  std::vector<DiskComponentPtr> built(sealed.size());
-  auto build_one = [&](size_t i) -> Status {
-    const std::string& tree = sealed[i].tree->options().name;
-    obs::TraceSpan build_span(tracer_.get(),
-                              ("flush_build(" + tree + ")").c_str(),
-                              "maintenance",
-                              int32_t(env_->io()->BoundQueue()));
-    const auto wall0 = std::chrono::steady_clock::now();
-    const Status s = RunWithRetry(
-        "flush(" + tree + ")", [&, i]() -> Status {
-          if (fault != nullptr) {
-            AUXLSM_RETURN_NOT_OK(
-                fault->Hit(failpoints::kFlushBuild, env_->io()));
-          }
-          AUXLSM_ASSIGN_OR_RETURN(built[i],
-                                  sealed[i].tree->BuildFromSealed(
-                                      sealed[i].mem));
-          return Status::OK();
-        });
-    if (hist_flush_build_wall_ != nullptr) {
-      hist_flush_build_wall_->Record(uint64_t(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - wall0)
-              .count()));
-    }
-    return s;
-  };
-  if (engine_parallel()) {
-    // All indexes flush together (shared budget); their builds write to
-    // distinct trees and files, so they run concurrently on the pool.
-    std::vector<std::function<Status()>> tasks;
-    for (size_t i = 0; i < sealed.size(); i++) {
-      tasks.push_back([&build_one, i]() { return build_one(i); });
-    }
-    AUXLSM_RETURN_NOT_OK(maintenance_->RunAll(std::move(tasks)));
-  } else {
-    // Serial path: builds run inline, but each tree still charges its own
-    // device queue so multi-queue profiles overlap them in simulated time
-    // (queue 0 for every tree on a single-queue device — the legacy costs).
-    for (size_t i = 0; i < sealed.size(); i++) {
-      IoQueueScope io_scope(env_->io(), sealed[i].slot);
-      AUXLSM_RETURN_NOT_OK(build_one(i));
-    }
-  }
-
-  // Phase 3 — install everything. The install failpoint is consulted once,
-  // before any tree installs (all-or-nothing, as in MaintenanceCycle).
-  obs::TraceSpan install_span(tracer_.get(), "install", "maintenance");
-  if (fault != nullptr && !sealed.empty()) {
-    AUXLSM_RETURN_NOT_OK(RunWithRetry("install", [&]() -> Status {
-      return fault->Hit(failpoints::kInstall, env_->io());
-    }));
-  }
-  for (size_t i = 0; i < sealed.size(); i++) {
-    AUXLSM_RETURN_NOT_OK(sealed[i].tree->InstallFlushed(sealed[i].mem,
-                                                        built[i]));
-    built[i]->set_max_lsn(flush_lsn);
-  }
-  // A direct FlushAll flushed active and sealed memtables together, so any
-  // recorded seal-window supersessions now coexist with their newer versions
-  // as separate components reconciled by recency — exactly the pre-side-list
-  // behavior of this path. Drop the stale records (they could only ever
-  // no-op against later components, but each would waste a B-tree probe).
-  if (options_.strategy == MaintenanceStrategy::kMutableBitmap) {
-    MutexLock fl(fixup_mu_);
-    pending_bitmap_fixups_.clear();
-  }
-  // Under the Mutable-bitmap strategy the primary and primary key index are
-  // synchronized and share one validity bitmap per component (§5.1).
-  if (options_.strategy == MaintenanceStrategy::kMutableBitmap && pk_index_) {
-    auto pcomps = primary_->Components();
-    auto kcomps = pk_index_->Components();
-    if (!pcomps.empty() && !kcomps.empty() &&
-        kcomps.front()->bitmap() == nullptr) {
-      kcomps.front()->set_bitmap(pcomps.front()->bitmap());
-    }
-  }
-  stats_.flushes++;
-  return Status::OK();
+  const Status s = FlushMemtables(/*forced=*/true).status();
+  ReleaseAdmission();
+  return s;
 }
 
 Status Dataset::MergeRepairToPolicy(SecondaryIndex* index, uint64_t* merges,
@@ -860,34 +732,23 @@ std::vector<DiskComponentPtr> SliceRange(
 }  // namespace
 
 Status Dataset::DeletedKeyMergesToPolicy(SecondaryIndex* index,
-                                         uint64_t* merges, bool decoupled) {
+                                         uint64_t* merges) {
   while (true) {
     // Pick and capture the index slice and its lock-step deleted-keys slice
-    // in one consistent view: as a merge-queue job (`decoupled`), flush
-    // installs run concurrently and would shift positions between the two
-    // reads, so the pick holds the ingest latch shared (see CorrelatedMerge).
+    // in one consistent view: flush installs run concurrently and would
+    // shift positions between the two reads, so the pick holds the ingest
+    // latch shared (see CorrelatedMerge).
     MergeRange r;
     std::vector<DiskComponentPtr> picked, dk_picked;
-    // The guard scope depends on `decoupled`, which one scoped guard cannot
-    // express; the capture is hoisted into a lambda run under the latch or
-    // bare. The lambda carries no capability assumptions of its own — the
-    // component lists are internally synchronized, the latch only freezes
-    // the positional alignment between the two reads.
-    auto capture = [&]() {
+    {
+      ReadLatchGuard pick_latch(ingest_mu_);
       auto comps = index->tree->Components();
       r = PickTieringRange(comps);
-      if (r.empty() || r.count() < 2) return;
+      if (r.empty() || r.count() < 2) break;
       picked = SliceRange(comps, r);
       auto dk = index->deleted_keys->Components();
       if (dk.size() >= r.end) dk_picked = SliceRange(dk, r);
-    };
-    if (decoupled) {
-      ReadLatchGuard pick_latch(ingest_mu_);
-      capture();
-    } else {
-      capture();
     }
-    if (r.empty() || r.count() < 2) break;
     FaultInjector* const fault = options_.fault_injector;
     AUXLSM_RETURN_NOT_OK(RunWithRetry(
         "merge(" + index->def.name + ".deleted)", [&]() -> Status {
@@ -901,89 +762,7 @@ Status Dataset::DeletedKeyMergesToPolicy(SecondaryIndex* index,
   return Status::OK();
 }
 
-Status Dataset::RunMerges() {
-  if (options_.correlated_merges) return CorrelatedMerge();
-  if (engine_parallel()) return ParallelMerges();
-  FaultInjector* const fault = options_.fault_injector;
-  auto merge_tree = [&](LsmTree* t) -> Status {
-    if (t == nullptr) return Status::OK();
-    // The serial path bypasses the scheduler (whose MergeComponents carries
-    // the merge failpoint), so the site is consulted here; transient
-    // failures retry the tree's merge loop from the current component set.
-    return RunWithRetry(
-        "merge(" + t->options().name + ")", [&, t]() -> Status {
-          bool merged = true;
-          while (merged) {
-            if (fault != nullptr) {
-              AUXLSM_RETURN_NOT_OK(fault->Hit(failpoints::kMerge,
-                                              env_->io()));
-            }
-            AUXLSM_RETURN_NOT_OK(t->TryMerge(&merged));
-            if (merged) stats_.merges++;
-          }
-          return Status::OK();
-        });
-  };
-  AUXLSM_RETURN_NOT_OK(merge_tree(primary_.get()));
-  AUXLSM_RETURN_NOT_OK(merge_tree(pk_index_.get()));
-  for (auto& s : secondaries_) {
-    if (options_.strategy == MaintenanceStrategy::kValidation &&
-        options_.merge_repair) {
-      uint64_t merges = 0, repairs = 0;
-      AUXLSM_RETURN_NOT_OK(MergeRepairToPolicy(s.get(), &merges, &repairs));
-      stats_.merges += merges;
-      stats_.repairs += repairs;
-    } else if (options_.strategy == MaintenanceStrategy::kDeletedKeyBtree) {
-      uint64_t merges = 0;
-      AUXLSM_RETURN_NOT_OK(DeletedKeyMergesToPolicy(s.get(), &merges));
-      stats_.merges += merges;
-    } else {
-      AUXLSM_RETURN_NOT_OK(merge_tree(s->tree.get()));
-      AUXLSM_RETURN_NOT_OK(merge_tree(s->deleted_keys.get()));
-    }
-  }
-  return Status::OK();
-}
-
-Status Dataset::ParallelMerges() {
-  // One task per tree: independent trees merge concurrently while each
-  // tree's own merges stay serialized inside its task (the engine's
-  // per-tree serialization rule). Secondary repair/deleted-key merges read
-  // the primary-key index concurrently with its own merge — safe because
-  // readers work on component snapshots and ReplaceComponents swaps
-  // atomically. IngestStats is only updated after the join.
-  // Transient failures retry the tree's merge loop from its current
-  // component set, as in the serial RunMerges.
-  std::vector<std::function<Status()>> tasks;
-  std::vector<uint64_t> merge_counts(2 + secondaries_.size(), 0);
-  std::vector<uint64_t> repair_counts(secondaries_.size(), 0);
-  auto merge_tree = [this](LsmTree* t, uint64_t* c) {
-    return [this, t, c]() {
-      return RunWithRetry("merge(" + t->options().name + ")", [this, t, c]() {
-        return maintenance_->MergeToPolicy(t, c);
-      });
-    };
-  };
-
-  tasks.push_back(merge_tree(primary_.get(), &merge_counts[0]));
-  if (pk_index_ != nullptr) {
-    tasks.push_back(merge_tree(pk_index_.get(), &merge_counts[1]));
-  }
-  for (size_t i = 0; i < secondaries_.size(); i++) {
-    SecondaryIndex* s = secondaries_[i].get();
-    uint64_t* mc = &merge_counts[2 + i];
-    uint64_t* rc = &repair_counts[i];
-    tasks.push_back([this, s, mc, rc]() {
-      return SecondaryMergesToPolicy(s, mc, rc, /*decoupled=*/false);
-    });
-  }
-  AUXLSM_RETURN_NOT_OK(maintenance_->RunAll(std::move(tasks)));
-  for (uint64_t c : merge_counts) stats_.merges += c;
-  for (uint64_t c : repair_counts) stats_.repairs += c;
-  return Status::OK();
-}
-
-Status Dataset::CorrelatedMerge(bool decoupled) {
+Status Dataset::CorrelatedMerge() {
   // The correlated merge policy (§4.4) keeps all of a dataset's indexes
   // merging in lock step with the primary key index: all indexes flush
   // together, so their newest-first component lists are positionally aligned
@@ -991,12 +770,12 @@ Status Dataset::CorrelatedMerge(bool decoupled) {
   LsmTree* anchor = pk_index_ ? pk_index_.get() : primary_.get();
   while (true) {
     // Pick the round's range and capture every tree's input slice in one
-    // consistent view. As a merge-queue job (`decoupled`), flush installs
-    // run concurrently and would shift positional indexes between reads of
-    // different trees' lists, so the pick holds the ingest latch *shared* —
-    // installs hold it exclusively, writers are unaffected. The merges below
-    // install by identity (ReplaceComponents), which tolerates components
-    // prepended after the capture.
+    // consistent view. Flush installs may run concurrently and would shift
+    // positional indexes between reads of different trees' lists, so the
+    // pick holds the ingest latch *shared* — installs hold it exclusively,
+    // writers are unaffected. The merges below install by identity
+    // (ReplaceComponents), which tolerates components prepended after the
+    // capture.
     MergeRange r;
     std::vector<DiskComponentPtr> p_picked, k_picked;
     struct SecPick {
@@ -1004,21 +783,21 @@ Status Dataset::CorrelatedMerge(bool decoupled) {
       std::vector<DiskComponentPtr> deleted;
     };
     std::vector<SecPick> spicked(secondaries_.size());
-    // Conditional latch scope, hoisted into a lambda exactly as in
-    // DeletedKeyMergesToPolicy above.
-    auto capture = [&]() -> Status {
+    {
+      ReadLatchGuard pick_latch(ingest_mu_);
       auto comps = anchor->Components();
       r = PickTieringRange(comps);
-      if (r.empty() || r.count() < 2) return Status::OK();
-      // The anchor's pick slices straight off the snapshot the policy saw;
-      // only the non-anchor primary needs a bounds re-check (the trees flush
-      // in lock step, so a shortfall means the positional alignment the
-      // correlated policy relies on is broken — fail loudly rather than
-      // merge a wrong slice).
+      if (r.empty() || r.count() < 2) break;
+      // The anchor's pick slices straight off the snapshot the policy saw.
+      // The primary flushes and merges in lock step with it, so equal
+      // lengths are the positional alignment the pick relies on. A pk-index
+      // merge that failed for good after the primary's merge breaks it:
+      // fail with a permanent error (no job retry) rather than merge a
+      // wrong slice.
       if (pk_index_ != nullptr) {
         k_picked = SliceRange(comps, r);
         auto pcomps = primary_->Components();
-        if (r.end > pcomps.size()) {
+        if (pcomps.size() != comps.size()) {
           return Status::InvalidArgument(
               "primary/pk component lists out of sync");
         }
@@ -1038,42 +817,24 @@ Status Dataset::CorrelatedMerge(bool decoupled) {
           }
         }
       }
-      return Status::OK();
-    };
-    if (decoupled) {
-      ReadLatchGuard pick_latch(ingest_mu_);
-      AUXLSM_RETURN_NOT_OK(capture());
-    } else {
-      AUXLSM_RETURN_NOT_OK(capture());
     }
-    if (r.empty() || r.count() < 2) break;
 
-    // Merge of one tree's captured slice; routed through the maintenance
-    // engine (which may partition large merges) when it is active. A merge
-    // fails before any component is replaced, so transient failures retry
-    // against the same captured slice.
-    FaultInjector* const fault = options_.fault_injector;
+    // Merge of one tree's captured slice on the engine (which may partition
+    // large merges). A merge fails before any component is replaced, so
+    // transient failures retry against the same captured slice.
     auto merge_picked =
-        [this, fault](LsmTree* t,
-                      const std::vector<DiskComponentPtr>& picked) -> Status {
-      return RunWithRetry(
-          "merge(" + t->options().name + ")", [&]() -> Status {
-            if (maintenance_ != nullptr) {
-              return maintenance_->MergeComponents(t, picked);
-            }
-            if (fault != nullptr) {
-              AUXLSM_RETURN_NOT_OK(fault->Hit(failpoints::kMerge,
-                                              env_->io()));
-            }
-            return t->MergeComponents(picked);
-          });
+        [this](LsmTree* t,
+               const std::vector<DiskComponentPtr>& picked) -> Status {
+      return RunWithRetry("merge(" + t->options().name + ")", [&]() {
+        return maintenance_->MergeComponents(t, picked);
+      });
     };
 
-    // Phase 1: primary and primary key index merge (concurrently when the
-    // engine is active) — their post-merge components must exist before the
-    // bitmap re-share and before secondary repair validates against them.
-    if (multi_writer() &&
-        options_.strategy == MaintenanceStrategy::kMutableBitmap) {
+    // Phase 1: primary and primary key index merge — their post-merge
+    // components must exist before the bitmap re-share and before secondary
+    // repair validates against them.
+    if (options_.strategy == MaintenanceStrategy::kMutableBitmap &&
+        multi_writer()) {
       // Background merge concurrent with live writers: writers flip bits in
       // the very components being merged, so the merge must run under a
       // §5.3 concurrency-control method. ConcurrentMerge builds the
@@ -1097,74 +858,63 @@ Status Dataset::CorrelatedMerge(bool decoupled) {
             }));
       }
     } else {
-      if (engine_parallel() && pk_index_ != nullptr) {
-        std::vector<std::function<Status()>> tasks;
-        tasks.push_back([&merge_picked, this, &p_picked]() {
-          return merge_picked(primary_.get(), p_picked);
-        });
-        tasks.push_back([&merge_picked, this, &k_picked]() {
-          return merge_picked(pk_index_.get(), k_picked);
-        });
-        AUXLSM_RETURN_NOT_OK(maintenance_->RunAll(std::move(tasks)));
-      } else {
+      // The pk-index merges only once the primary's merge succeeded: a
+      // failed primary merge leaves both lists as they were, so a retried
+      // job re-picks the same aligned range.
+      auto merge_pair = [&]() -> Status {
         AUXLSM_RETURN_NOT_OK(merge_picked(primary_.get(), p_picked));
+        if (pk_index_ == nullptr) return Status::OK();
+        return merge_picked(pk_index_.get(), k_picked);
+      };
+      if (options_.strategy == MaintenanceStrategy::kMutableBitmap) {
+        // One writer thread setting: writers flip bits in these inputs, so
+        // they are excluded for the merge. Then re-share the merged
+        // components' bitmap. Positional refetch is safe: installs only
+        // happen inside an admitted flush routine, and this merge runs
+        // inside the admitted cycle.
+        WriteLatchGuard latch(ingest_mu_);
+        AUXLSM_RETURN_NOT_OK(merge_pair());
         if (pk_index_) {
-          AUXLSM_RETURN_NOT_OK(merge_picked(pk_index_.get(), k_picked));
+          auto pcomps = primary_->Components();
+          auto kcomps = pk_index_->Components();
+          if (r.begin < pcomps.size() && r.begin < kcomps.size()) {
+            kcomps[r.begin]->set_bitmap(pcomps[r.begin]->bitmap());
+          }
         }
-      }
-      if (options_.strategy == MaintenanceStrategy::kMutableBitmap &&
-          pk_index_) {
-        // Re-share the merged components' bitmap. Positional refetch is safe
-        // here: this branch never runs concurrently with installs (the
-        // Mutable-bitmap multi-writer path goes through ConcurrentMerge
-        // above, which shares the bitmap during the build).
-        auto pcomps = primary_->Components();
-        auto kcomps = pk_index_->Components();
-        if (r.begin < pcomps.size() && r.begin < kcomps.size()) {
-          kcomps[r.begin]->set_bitmap(pcomps[r.begin]->bitmap());
-        }
+      } else {
+        AUXLSM_RETURN_NOT_OK(merge_pair());
       }
     }
     // Phase 2: secondary indexes, one task per index.
-    uint64_t round_repairs = 0;
     std::vector<std::function<Status()>> stasks;
     std::vector<uint64_t> srepairs(secondaries_.size(), 0);
     for (size_t i = 0; i < secondaries_.size(); i++) {
       SecondaryIndex* s = secondaries_[i].get();
       if (spicked[i].tree.empty()) continue;
-      std::function<Status()> work;
       if (options_.strategy == MaintenanceStrategy::kValidation &&
           options_.merge_repair) {
         uint64_t* rc = &srepairs[i];
-        work = [this, s, picked = spicked[i].tree, rc]() -> Status {
+        stasks.push_back([this, s, picked = spicked[i].tree, rc]() -> Status {
           AUXLSM_RETURN_NOT_OK(
               RunWithRetry("repair(" + s->def.name + ")", [&]() -> Status {
                 return RunMergeRepair(this, s, picked);
               }));
           (*rc)++;
           return Status::OK();
-        };
+        });
       } else {
-        work = [&merge_picked, s, tpicked = spicked[i].tree,
-                dpicked = spicked[i].deleted]() -> Status {
+        stasks.push_back([&merge_picked, s, tpicked = spicked[i].tree,
+                          dpicked = spicked[i].deleted]() -> Status {
           AUXLSM_RETURN_NOT_OK(merge_picked(s->tree.get(), tpicked));
           if (!dpicked.empty()) {
             AUXLSM_RETURN_NOT_OK(merge_picked(s->deleted_keys.get(), dpicked));
           }
           return Status::OK();
-        };
-      }
-      if (engine_parallel()) {
-        stasks.push_back(std::move(work));
-      } else {
-        AUXLSM_RETURN_NOT_OK(work());
+        });
       }
     }
-    if (!stasks.empty()) {
-      AUXLSM_RETURN_NOT_OK(maintenance_->RunAll(std::move(stasks)));
-    }
-    for (uint64_t c : srepairs) round_repairs += c;
-    stats_.repairs += round_repairs;
+    AUXLSM_RETURN_NOT_OK(maintenance_->RunAll(std::move(stasks)));
+    for (uint64_t c : srepairs) stats_.repairs += c;
     stats_.merges++;
   }
   return Status::OK();

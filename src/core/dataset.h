@@ -36,6 +36,7 @@
 #include "core/query_cursor.h"
 #include "fault/fault_injector.h"
 #include "core/read_query.h"
+#include "exec/maintenance.h"
 #include "format/record.h"
 #include "lsm/lsm_tree.h"
 #include "obs/metrics.h"
@@ -115,48 +116,41 @@ struct DatasetOptions {
 
   // --- Maintenance engine (exec/maintenance.h) ------------------------------
   /// Threads used to run the indexes' flushes and merges concurrently.
-  /// 0 = one per hardware thread; 1 = the legacy serial path (identical
-  /// behavior to builds without the engine).
+  /// 0 = one per hardware thread; 1 = no pool: the maintenance cycle runs
+  /// every flush build and merge inline on the thread that runs the cycle.
   size_t maintenance_threads = 0;
   /// Merges of at least this many input bytes are additionally split into
   /// key-range partitions scanned in parallel (0 disables partitioning).
   uint64_t merge_partition_min_bytes = 8u << 20;
 
   // --- Concurrent ingestion pipeline (PR 2) ---------------------------------
-  /// Number of writer threads the dataset is tuned for. 1 = the legacy
-  /// serial write path (budget overruns flush and merge inline on the
-  /// ingesting thread under the exclusive ingest latch; no WAL group
-  /// commit) — bit-for-bit the pre-pipeline behavior. > 1 enables the
-  /// writer-group pipeline: a budget overrun seals every index's memtable
-  /// under a brief exclusive latch and hands flush + merge to a background
-  /// maintenance cycle, transaction commits batch their modeled log syncs
-  /// through the WAL's group commit, and the Mutable-bitmap strategy's
-  /// merges run under the §5.3 concurrency-control method selected by
-  /// `build_cc` (kNone = stop-the-world merge, the Fig 23 baseline).
+  /// Number of writer threads the dataset is tuned for. Either way a budget
+  /// overrun runs one maintenance cycle (seal every index's memtable under a
+  /// brief exclusive latch, build the components off-latch, install, merge).
+  /// 1 = the op that overran runs the cycle inline (other calling threads
+  /// at twice the budget wait for it to finish); no WAL group commit.
+  /// > 1 = the cycle runs on a background thread, transaction commits batch
+  /// their modeled log syncs through the WAL's group commit, and the
+  /// Mutable-bitmap strategy's merges run under the §5.3 concurrency-control
+  /// method selected by `build_cc` (kNone = stop-the-world merge, the Fig 23
+  /// baseline).
   size_t writer_threads = 1;
 
   // --- Decoupled merge scheduling (PR 5) ------------------------------------
-  /// 0 (default) = legacy coupled maintenance: each background cycle runs
-  /// seal -> flush -> install -> merges end-to-end, so a long merge phase
-  /// delays the next seal and writers hit the 2x-budget backpressure for the
-  /// whole merge's duration — bit-for-bit the pre-decoupling behavior.
+  /// 0 (default) = coupled maintenance: each cycle runs seal -> build ->
+  /// install -> merges end-to-end (the merge jobs on the scheduler's RunAll),
+  /// so a long merge phase delays the next seal and writers hit the
+  /// 2x-budget backpressure for the whole merge's duration.
   /// > 0 (with writer_threads > 1): the cycle stops after install and hands
-  /// merge work to per-tree merge queues drained by the MaintenanceScheduler
-  /// (exec/maintenance.h). A backlogged merge on one tree then never blocks
-  /// the next seal/install or other trees' merges (per-tree merges stay
-  /// mutually serial), so per-op ingest stalls are bounded by flush — not
-  /// merge — time. The value is the backpressure depth: writers stall once
-  /// the merge queues fall more than `merge_queue_depth` flush rounds
-  /// behind, replacing the raw 2x-budget wait-for-the-whole-cycle.
+  /// the same merge jobs to per-tree merge queues drained by the
+  /// MaintenanceScheduler (exec/maintenance.h). A backlogged merge on one
+  /// tree then never blocks the next seal/install or other trees' merges
+  /// (per-tree merges stay mutually serial), so per-op ingest stalls are
+  /// bounded by flush — not merge — time. The value is the backpressure
+  /// depth: writers stall once the merge queues fall more than
+  /// `merge_queue_depth` flush rounds behind, replacing the raw 2x-budget
+  /// wait-for-the-whole-cycle.
   size_t merge_queue_depth = 0;
-
-  /// Serial-path no-steal (writer_threads == 1): the legacy inline
-  /// budget-triggered flush can run *between an open explicit transaction's
-  /// operations* and flush its uncommitted entries to disk — a rollback then
-  /// cannot reach them (the pipeline path already defers sealing while
-  /// explicit transactions are open). true defers the inline flush the same
-  /// way; false keeps the seed behavior for bit-for-bit parity.
-  bool strict_no_steal = false;
 
   // --- Robustness (PR 6) ----------------------------------------------------
   /// Optional fault injector threaded through every modeled-storage seam
@@ -286,7 +280,6 @@ struct DatasetCatalog {
   Lsn bitmap_checkpoint_lsn = kInvalidLsn;
 };
 
-class MaintenanceScheduler;
 struct ConcurrentMergeStats;
 
 class Dataset {
@@ -343,16 +336,19 @@ class Dataset {
                            ScanResult* out);
 
   // --- Maintenance -------------------------------------------------------------
-  /// Flushes all indexes together (shared budget semantics) and then lets
-  /// merge policies run.
+  /// Flushes every index's memory component together (shared budget
+  /// semantics), whatever the budget; runs no merge. Waits out in-flight
+  /// maintenance first and returns its sticky error, if any. No-steal:
+  /// while an explicit transaction is open it flushes nothing and returns
+  /// Status::Busy.
   Status FlushAll();
   Status MergeAllIndexes();
 
   /// Joins the in-flight background maintenance cycle (writer_threads > 1),
   /// drains the decoupled merge queues, and returns the sticky first
-  /// background error, if any. No-op on the serial path. Callers should
-  /// quiesce writers first if they need "all data flushed" semantics rather
-  /// than "the current cycle finished".
+  /// background error, if any. Callers should quiesce writers first if they
+  /// need "all data flushed" semantics rather than "the current cycle
+  /// finished".
   Status WaitForMaintenance();
 
   /// Returns and *clears* one sticky background error per call (flush-cycle
@@ -453,11 +449,8 @@ class Dataset {
   /// The dataset-owned tracer; null unless trace_buffer_bytes > 0.
   obs::Tracer* tracer() const { return tracer_.get(); }
 
-  /// The maintenance engine; null on the fully serial path. Non-null does
-  /// NOT imply a parallel pool: with merge_queue_depth > 0 (and
-  /// writer_threads > 1) the scheduler is kept alive even at
-  /// maintenance_threads = 1 solely for its merge queues — gate engine
-  /// fan-out on engine_parallel(), never on this pointer.
+  /// The maintenance engine; never null. At maintenance_threads = 1 it has
+  /// no pool (parallel() is false) and runs every task inline.
   MaintenanceScheduler* maintenance() { return maintenance_.get(); }
 
   /// Total memory-component bytes across indexes (flush trigger input).
@@ -527,41 +520,49 @@ class Dataset {
   /// cache is disabled.
   void InvalidateTupleCache(const TweetRecord& record, LogRecordType op)
       REQUIRES_SHARED(ingest_mu_);
+  /// Runs after an op committed: if the budget is exceeded, applies
+  /// backpressure when writers outpace the pipeline and starts one
+  /// maintenance cycle unless one is running (inline at writer_threads = 1,
+  /// on a background thread above). Never fails the committed op: a failed
+  /// cycle degrades the dataset, and the next op fails fast.
   /// `in_explicit_txn` = the calling thread holds an open explicit
   /// transaction (and with it record locks): it must never park on
   /// maintenance backpressure, because the merge it would wait for may
   /// itself be blocked on one of its locks (§5.3 Lock-method builder) — a
   /// deadlock no timeout would break.
-  Status CheckBudgetAndMaintain(bool in_explicit_txn);
+  void CheckBudgetAndMaintain(bool in_explicit_txn);
 
-  // --- Writer-group pipeline (ingest.cc / dataset.cc) ----------------------
+  // --- Maintenance pipeline (dataset.cc) ------------------------------------
   bool multi_writer() const { return options_.writer_threads > 1; }
   /// Decoupled merge scheduling is on: flush cycles enqueue merge work onto
   /// the scheduler's per-tree queues instead of running it inline.
   bool merge_queues_enabled() const {
-    return options_.merge_queue_depth > 0 && multi_writer() &&
-           maintenance_ != nullptr;
+    return options_.merge_queue_depth > 0 && multi_writer();
   }
-  /// True when the maintenance engine fans work out over a pool (a scheduler
-  /// kept solely for its merge queues still runs tasks inline/serially).
-  bool engine_parallel() const;
   /// Every index tree of the dataset (primary, pk, secondaries, deleted-key).
   std::vector<LsmTree*> AllTrees();
-  /// Launches one background maintenance cycle if the budget is exceeded and
-  /// none is running; applies backpressure when writers outpace the pipeline
-  /// (skipped for threads holding an open explicit transaction — see
-  /// CheckBudgetAndMaintain).
-  Status MaintainAsync(bool in_explicit_txn);
-  /// One background cycle: seal (brief exclusive latch) -> build components
-  /// off-latch -> install (exclusive latch) -> merges (inline in coupled
-  /// mode; enqueued on the per-tree merge queues in decoupled mode).
+  /// One maintenance cycle: FlushMemtables, then the merge jobs (run on the
+  /// scheduler in coupled mode; enqueued on the per-tree merge queues in
+  /// decoupled mode). The caller holds the bg_active_ admission.
   Status MaintenanceCycle();
+  /// The one flush routine: seal every tree (brief exclusive latch) ->
+  /// build the components off-latch -> install (exclusive latch). `forced`
+  /// (FlushAll) flushes whatever the budget and fails with Busy while an
+  /// explicit transaction is open; otherwise the flush is skipped when the
+  /// budget is no longer exceeded or deferred while a transaction is open.
+  /// Returns whether anything was installed. The caller holds the
+  /// bg_active_ admission, so flushes never interleave.
+  Result<bool> FlushMemtables(bool forced);
+  /// Clears the bg_active_ admission and wakes the threads waiting for it
+  /// (FlushAll; one-writer ops at the 2x-budget bound).
+  void ReleaseAdmission();
   /// Joins only the in-flight flush cycle (not the merge queues): the
   /// decoupled pipeline's 2x-budget wait, bounded by flush time.
   Status JoinFlushCycle();
-  /// Decoupled mode: hands this cycle's merge work to the scheduler's
-  /// per-tree queues as one round (one job per tree / correlated group).
-  void EnqueueMergeWork();
+  /// The merge work after a flush, one job per serial merge stream (one per
+  /// tree; one for the whole dataset under correlated merges). Each job
+  /// retries as a whole and keeps its tree's queued-merge accounting.
+  std::vector<MaintenanceScheduler::MergeJob> MergeJobs();
   /// Mutable-bitmap only: marks entries of the freshly flushed primary
   /// component that are superseded by newer active-memtable writes (their
   /// delete/upsert raced the sealed window). Caller holds the latch. The
@@ -574,33 +575,25 @@ class Dataset {
   void RecordBitmapFixup(const std::string& pk, Timestamp ts);
 
   // dataset.cc
-  Status FlushAllLocked() REQUIRES(ingest_mu_);
-  Status RunMerges();
-  Status ParallelMerges();
-  /// Correlated merge rounds (§4.4). `decoupled` = running as a merge-queue
-  /// job concurrent with flush installs: each round's range pick and
-  /// per-tree component slices are captured under a brief *shared* ingest
-  /// latch (installs hold it exclusively, so the positional alignment across
-  /// trees is consistent), and the merges install by identity, which
-  /// tolerates components prepended meanwhile.
-  Status CorrelatedMerge(bool decoupled = false);
+  /// Correlated merge rounds (§4.4). Merges run concurrently with flush
+  /// installs, so each round's range pick and per-tree component slices are
+  /// captured under a brief *shared* ingest latch (installs hold it
+  /// exclusively, so the positional alignment across trees is consistent),
+  /// and the merges install by identity, which tolerates components
+  /// prepended meanwhile.
+  Status CorrelatedMerge();
   /// Merge-repair merges for one secondary index until its policy is
-  /// satisfied (Validation strategy, §4.4). Shared by the serial and
-  /// parallel engines so their behavior cannot drift.
+  /// satisfied (Validation strategy, §4.4).
   Status MergeRepairToPolicy(SecondaryIndex* index, uint64_t* merges,
                              uint64_t* repairs);
   /// Deleted-key merges for one secondary index until its policy is
-  /// satisfied (kDeletedKeyBtree, §4.1). `decoupled` = running as a
-  /// merge-queue job: picks are captured under a brief shared ingest latch
-  /// (see CorrelatedMerge).
-  Status DeletedKeyMergesToPolicy(SecondaryIndex* index, uint64_t* merges,
-                                  bool decoupled = false);
+  /// satisfied (kDeletedKeyBtree, §4.1). Picks are captured under a brief
+  /// shared ingest latch (see CorrelatedMerge).
+  Status DeletedKeyMergesToPolicy(SecondaryIndex* index, uint64_t* merges);
   /// Strategy dispatch for one secondary index's non-correlated merges
-  /// (merge repair / deleted-key / plain). Shared by ParallelMerges and the
-  /// decoupled merge-queue jobs so their behavior cannot drift. Requires the
-  /// maintenance engine.
+  /// (merge repair / deleted-key / plain).
   Status SecondaryMergesToPolicy(SecondaryIndex* index, uint64_t* merges,
-                                 uint64_t* repairs, bool decoupled);
+                                 uint64_t* repairs);
   /// Evaluates the dataset-level tiering policy (merge_size_ratio /
   /// max_mergeable_bytes) over a component snapshot. Shared by the
   /// correlated and deleted-key pick paths so their policy cannot drift.
@@ -672,12 +665,13 @@ class Dataset {
   std::vector<std::pair<std::string, Timestamp>> pending_bitmap_fixups_
       GUARDED_BY(fixup_mu_);
 
-  // Background maintenance cycle (writer_threads > 1). bg_active_ admits one
-  // cycle at a time; bg_mu_ guards the thread handle and the sticky first
-  // error. The thread is joined by WaitForMaintenance / the next launch /
-  // the destructor. Rank kLeaf: taken under the exclusive ingest latch
-  // (MarkDegraded on the serial inline path) with nothing nested inside.
+  // Maintenance cycle admission. bg_active_ admits one flush routine at a
+  // time: a budget-triggered cycle (inline or background) or a FlushAll.
+  // bg_mu_ guards the background thread handle (writer_threads > 1) and the
+  // sticky first error. The thread is joined by WaitForMaintenance / the
+  // next launch / the destructor. Rank kLeaf: nothing is nested inside.
   Mutex bg_mu_{lockrank::kLeaf, "dataset.bg"};
+  CondVar bg_cv_;  ///< signalled when bg_active_ clears (under bg_mu_)
   std::thread bg_thread_ GUARDED_BY(bg_mu_);
   std::atomic<bool> bg_active_{false};
   Status bg_status_ GUARDED_BY(bg_mu_);

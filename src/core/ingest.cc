@@ -16,8 +16,8 @@ void PutIndex(LsmTree* tree, const Slice& key, const Slice& value,
               Timestamp ts, bool antimatter, Transaction* undo_txn) {
   if (undo_txn != nullptr) {
     // Undo closures may outlive this operation's latch hold; keep the target
-    // memtable alive by shared_ptr so it cannot dangle. The pipeline's seal
-    // phase defers while explicit transactions are open (no-steal), so the
+    // memtable alive by shared_ptr so it cannot dangle. The flush routine's
+    // seal defers while explicit transactions are open (no-steal), so the
     // closures' target is still the live memtable when a rollback runs.
     std::shared_ptr<Memtable> mem = tree->active_memtable();
     OwnedEntry prev;
@@ -319,8 +319,13 @@ Status Dataset::IngestOp(LogRecordType op, const TweetRecord& record,
   // Degraded read-only mode: maintenance exhausted its retry budget (or hit
   // a permanent error), so ingest fails fast with the sticky cause while
   // reads keep serving the installed components. TakeBackgroundError()
-  // re-arms the pipeline.
-  if (degraded_.load(std::memory_order_acquire)) return DegradedError();
+  // re-arms the pipeline. This is the only place a maintenance error
+  // reaches an op — before any effect; a sticky merge-queue error counts
+  // even if its job did not degrade the dataset itself.
+  if (degraded_.load(std::memory_order_acquire) ||
+      maintenance_->has_merge_error()) {
+    return DegradedError();
+  }
 
   // Observability: per-op latency histograms (modeled = storage + log device
   // work this op charged; wall = host time) and an optional trace span. Both
@@ -472,48 +477,7 @@ Status Dataset::IngestOp(LogRecordType op, const TweetRecord& record,
   }
 
   ingest_lock.Release();
-  return CheckBudgetAndMaintain(/*in_explicit_txn=*/!owns_txn);
-}
-
-Status Dataset::CheckBudgetAndMaintain(bool in_explicit_txn) {
-  // Writer-group pipeline: hand flush + merge to the background cycle
-  // instead of running them inline on the ingesting thread.
-  if (multi_writer()) return MaintainAsync(in_explicit_txn);
-  if (MemComponentBytes() < options_.mem_budget_bytes) return Status::OK();
-  WriteLatchGuard l(ingest_mu_);
-  if (MemComponentBytes() < options_.mem_budget_bytes) return Status::OK();
-  // Serial-path no-steal: an inline budget-triggered flush between an open
-  // explicit transaction's operations would write its uncommitted entries to
-  // disk, out of reach of the rollback closures. Defer exactly as the
-  // pipeline's seal phase does (the transaction's next operation — or the
-  // first op after it closes — re-triggers the flush). Gated on
-  // strict_no_steal: the default keeps the seed behavior bit-for-bit.
-  if (options_.strict_no_steal && txns_.active_transactions() > 0) {
-    return Status::OK();
-  }
-  // Serial inline cycle: same span structure as MaintenanceCycle so serial
-  // traces show the same seal -> flush_build -> install -> merge shape.
-  obs::TraceSpan cycle_span(tracer_.get(), "maintenance.cycle", "maintenance");
-  const auto cycle_wall0 = std::chrono::steady_clock::now();
-  Status s = FlushAllLocked();
-  if (s.ok()) {
-    obs::TraceSpan merge_span(tracer_.get(), "merge", "maintenance");
-    s = RunMerges();
-  }
-  if (hist_cycle_wall_ != nullptr) {
-    hist_cycle_wall_->Record(uint64_t(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - cycle_wall0)
-            .count()));
-  }
-  if (!s.ok()) {
-    // Serial inline maintenance failed past its retry budget. The op that
-    // tripped the budget check already committed (its WAL records are
-    // durable), so failing *it* would misreport a committed op. Degrade to
-    // read-only with the cause sticky instead: the NEXT ingest fails fast —
-    // before any effect — until TakeBackgroundError() re-arms the pipeline.
-    MarkDegraded(s);
-  }
+  CheckBudgetAndMaintain(/*in_explicit_txn=*/!owns_txn);
   return Status::OK();
 }
 

@@ -96,14 +96,12 @@ obs::MetricsSnapshot Dataset::MetricsSnapshot() {
     s.Set(p + ".disk_components", double(t->NumDiskComponents()));
   }
 
-  // Maintenance engine backlog (all zero on the serial inline path, where
-  // no scheduler exists — emitted anyway so the key set is stable).
-  const bool eng = maintenance_ != nullptr;
-  s.Set("exec.pool_queue_depth", eng ? double(maintenance_->PoolQueueDepth()) : 0);
+  // Maintenance engine backlog (the pool depth is zero when no pool was
+  // ever spawned, the merge backlog on every coupled configuration).
+  s.Set("exec.pool_queue_depth", double(maintenance_->PoolQueueDepth()));
   s.Set("exec.merge_rounds_pending",
-        eng ? double(maintenance_->PendingMergeRounds()) : 0);
-  s.Set("exec.merge_jobs_pending",
-        eng ? double(maintenance_->PendingMergeJobs()) : 0);
+        double(maintenance_->PendingMergeRounds()));
+  s.Set("exec.merge_jobs_pending", double(maintenance_->PendingMergeJobs()));
 
   // Fault injection activity, when armed.
   if (options_.fault_injector != nullptr) {

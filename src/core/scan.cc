@@ -110,18 +110,14 @@ class FilterScanExecutor final : public QueryExecutor {
       // §5: bitmaps make disk entries self-describing, so components are
       // scanned one by one with independent pruning and no reconciliation.
       // The memtable snapshot was taken before the component snapshot, so a
-      // concurrently flushed entry can appear in both; the newer timestamp
-      // wins in either direction. Serially a mem/disk duplicate cannot
-      // exist with a valid bitmap bit (the upsert marks the old version),
-      // so the reconciliation map is only built when the maintenance engine
-      // makes concurrent flushes possible — the serial hot loop stays
-      // allocation-free.
+      // concurrently flushed entry can appear in both (flushes build
+      // off-latch while readers run); the newer timestamp wins in either
+      // direction.
       per_component_ = true;
       comps_ = std::move(comps);
       overlaps_ = overlaps;
       include_memtable_ = mem_overlaps;
-      if (mem_overlaps && (dataset_->maintenance_ != nullptr ||
-                           dataset_->multi_writer())) {
+      if (mem_overlaps) {
         for (const auto& e : mem_) mem_ts_[e.key] = e.ts;
       }
       return Status::OK();

@@ -5,15 +5,23 @@
 //
 //   Dataset (core/dataset.cc)                 MaintenanceScheduler
 //   ------------------------------            ----------------------------
-//   FlushAllLocked  ── tasks per tree ──────► RunAll: one flush per index
-//   RunMerges       ── tasks per tree ──────► RunAll: MergeToPolicy loops
-//   CorrelatedMerge ── tasks per round ─────► RunAll: ranged merges
+//   MaintenanceCycle (budget overrun; inline at one writer, else on a
+//   background thread) and FlushAll:
+//     FlushMemtables ── one build per sealed ─► RunAll: component builds
+//                       memtable
+//     MergeJobs ─┬─ coupled: one job per tree ► RunAll: MergeToPolicy loops
+//                └─ decoupled ──────────────► EnqueueMergeRound: per-tree
+//                                             FIFO queues, drain workers
+//   CorrelatedMerge ── primary, then pk; ───► RunAll: ranged merges,
+//                      per round                one task per secondary
 //                                             │
 //                                             ▼
-//                                       ThreadPool (N workers)
+//                                       ThreadPool (N workers; none at
+//                                       threads = 1: RunAll runs inline)
 //
 //   - Work is fanned out at *tree* granularity: the primary, primary-key,
-//     secondary, and deleted-key trees flush and merge concurrently. Merges
+//     secondary, and deleted-key trees flush and merge concurrently (a
+//     correlated round merges the primary before the pk index). Merges
 //     of one tree are never issued concurrently (per-tree serialization):
 //     each tree's merge loop runs inside a single task.
 //   - A large merge of one tree may additionally be split into key-range
@@ -77,8 +85,7 @@ class FaultInjector;
 
 struct MaintenanceOptions {
   /// Worker threads. 0 = one per hardware thread; 1 = no pool (every
-  /// scheduler entry point degrades to the caller's thread, byte-for-byte
-  /// the legacy serial behavior).
+  /// scheduler entry point runs on the caller's thread).
   size_t threads = 0;
   /// Number of key-range partitions a large merge is split into.
   /// 0 = match the thread count.

@@ -4,7 +4,7 @@
 // through every seam where the engine touches modeled storage: Env page
 // append/read/delete, BufferCache miss fills, IoEngine submissions, WAL
 // append/sync, and the maintenance pipeline's build/install/merge steps
-// (including decoupled merge-queue jobs). Tests arm a site with a FaultSpec
+// (including the per-tree merge jobs). Tests arm a site with a FaultSpec
 // — probability, every-Nth, or one-shot triggers; error / modeled-clock
 // delay / crash actions — and the instrumented call sites consult the
 // injector at runtime.

@@ -338,15 +338,6 @@ bool LsmTree::PickMergeCandidates(
   return true;
 }
 
-Status LsmTree::TryMerge(bool* merged) {
-  *merged = false;
-  std::vector<DiskComponentPtr> picked;
-  if (!PickMergeCandidates(&picked)) return Status::OK();
-  AUXLSM_RETURN_NOT_OK(MergeComponents(picked));
-  *merged = true;
-  return Status::OK();
-}
-
 Status LsmTree::MergeComponentRange(const MergeRange& range) {
   std::vector<DiskComponentPtr> snapshot = Components();
   if (range.end > snapshot.size() || range.empty()) {

@@ -6,13 +6,11 @@
 //
 // Sealed memtables are the ingestion pipeline's handoff unit: sealing swaps
 // the active memtable for a fresh one under the dataset's exclusive ingest
-// latch (brief), and the background maintenance cycle builds the sealed
-// contents into a disk component without blocking writers. Readers reach
-// sealed entries through the Mem* helpers below, which search active-then-
-// sealed (newest first); a sealed memtable stays readable via shared_ptr
-// until its disk component is installed and the last reader drops it. In
-// the serial path (writer_threads == 1) a memtable is sealed and flushed in
-// one step under the latch, so there is never more than the active one.
+// latch (brief), and the maintenance cycle builds the sealed contents into
+// a disk component without blocking writers. Readers reach sealed entries
+// through the Mem* helpers below, which search active-then-sealed (newest
+// first); a sealed memtable stays readable via shared_ptr until its disk
+// component is installed and the last reader drops it.
 #pragma once
 
 #include <atomic>
@@ -167,9 +165,6 @@ class LsmTree {
   Status InstallFlushed(const std::shared_ptr<Memtable>& sealed,
                         DiskComponentPtr component);
 
-  /// Consults the merge policy; runs at most one merge. Sets *merged.
-  Status TryMerge(bool* merged);
-
   /// Consults the merge policy against the current component list; fills
   /// *picked with the chosen components (newest first) and returns true if a
   /// merge is warranted. Callers (e.g. the maintenance engine) may then run
@@ -222,11 +217,12 @@ class LsmTree {
   uint64_t TotalDiskBytes() const;
   size_t NumDiskComponents() const;
 
-  // --- Decoupled merge scheduling (exec/maintenance.h) -----------------------
-  /// Merge-pending accounting: jobs enqueued on this tree's merge queue and
-  /// not yet finished. Maintained by the Dataset's decoupled merge
-  /// scheduling (the queue itself serializes per-tree merges; this counter
-  /// is the observable backlog for backpressure diagnostics and tests).
+  // --- Merge jobs (exec/maintenance.h) ---------------------------------------
+  /// Merge-pending accounting: the Dataset's merge jobs for this tree that
+  /// have not finished — queued or running on the tree's merge queue
+  /// (decoupled), or running inside the maintenance cycle (coupled). The
+  /// queue itself serializes per-tree merges; this counter is the observable
+  /// backlog for backpressure diagnostics and tests.
   void BeginQueuedMerge() {
     merge_pending_jobs_.fetch_add(1, std::memory_order_relaxed);
   }

@@ -6,7 +6,7 @@
 // sync? A Tracer records RAII TraceSpans into per-thread bounded ring
 // buffers and exports Chrome trace-event JSON that Perfetto (or
 // chrome://tracing) renders as a timeline: seal -> per-tree flush builds ->
-// install -> decoupled merge jobs, with WAL syncs and per-queue IoEngine
+// install -> per-tree merge jobs, with WAL syncs and per-queue IoEngine
 // charges as nested/instant events.
 //
 // Every span carries TWO timelines:

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <thread>
+#include <vector>
 
 #include "core/dataset.h"
 #include "core/mutable_bitmap_build.h"
@@ -222,6 +224,99 @@ TEST(ConcurrencyStressTest, ParallelAutoCommitUpserts) {
   EXPECT_GE(r.user_id, 10u);
   EXPECT_LE(r.user_id, 13u);
 }
+
+// One-writer datasets (writer_threads = 1) run the maintenance cycle inline
+// on the op that overran the budget, with builds and merges outside the
+// exclusive ingest latch: other threads' upserts and deletes land during the
+// build, the install and the merges. Each thread owns a disjoint key range,
+// so its own last op decides each key's final state.
+class InlineCycleStressTest
+    : public ::testing::TestWithParam<MaintenanceStrategy> {};
+
+TEST_P(InlineCycleStressTest, ConcurrentWritesDuringInlineCycles) {
+  Env env(TestEnv());
+  DatasetOptions o;
+  o.strategy = GetParam();
+  o.mem_budget_bytes = 16 << 10;
+  o.maintenance_threads = 1;
+  Dataset ds(&env, o);
+  constexpr int kThreads = 4;
+  constexpr uint64_t kKeys = 250;  // per thread
+  constexpr uint64_t kUsers = 50;
+  std::vector<std::map<uint64_t, uint64_t>> expected(kThreads);  // id -> user
+  std::atomic<int> failures{0};
+  std::atomic<size_t> peak_mem{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; t++) {
+    threads.emplace_back([&, t]() {
+      std::map<uint64_t, uint64_t>& mine = expected[t];
+      for (uint64_t round = 0; round < 4; round++) {
+        for (uint64_t i = 0; i < kKeys; i++) {
+          const uint64_t id = uint64_t(t) * kKeys + i + 1;
+          if ((i + round) % 5 == 0) {
+            if (!ds.Delete(id).ok()) failures++;
+            mine.erase(id);
+          } else {
+            const uint64_t user = (id + round) % kUsers;
+            if (!ds.Upsert(MakeTweet(id, user, round * 10000 + id)).ok()) {
+              failures++;
+            }
+            mine[id] = user;
+          }
+          const size_t mem = ds.MemComponentBytes();
+          size_t peak = peak_mem.load();
+          while (mem > peak && !peak_mem.compare_exchange_weak(peak, mem)) {
+          }
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  ASSERT_EQ(failures.load(), 0);
+  EXPECT_GT(ds.ingest_stats().flushes, 0u);
+  EXPECT_GT(ds.ingest_stats().merges, 0u);
+  // Backpressure: an op at twice the budget waits out the running cycle, so
+  // each thread adds at most one op (well under 1 KiB of memtable entries)
+  // beyond that bound.
+  EXPECT_LE(peak_mem.load(), 2 * o.mem_budget_bytes + kThreads * 1024);
+
+  std::map<uint64_t, uint64_t> all;
+  for (const auto& m : expected) all.insert(m.begin(), m.end());
+  for (uint64_t id = 1; id <= kThreads * kKeys; id++) {
+    TweetRecord r;
+    const Status st = ds.GetById(id, &r);
+    auto it = all.find(id);
+    if (it == all.end()) {
+      EXPECT_TRUE(st.IsNotFound()) << "id " << id << ": " << st.ToString();
+    } else {
+      ASSERT_TRUE(st.ok()) << "id " << id << ": " << st.ToString();
+      EXPECT_EQ(r.user_id, it->second) << "id " << id;
+    }
+  }
+  EXPECT_EQ(ds.num_records(), all.size());
+  QueryResult res;
+  ASSERT_TRUE(ds.QueryUserRange(0, kUsers - 1, SecondaryQueryOptions{}, &res)
+                  .ok());
+  std::map<uint64_t, uint64_t> got;
+  for (const auto& r : res.records) {
+    EXPECT_TRUE(got.emplace(r.id, r.user_id).second) << "duplicate " << r.id;
+  }
+  EXPECT_EQ(got, all);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Strategies, InlineCycleStressTest,
+    ::testing::Values(MaintenanceStrategy::kEager,
+                      MaintenanceStrategy::kValidation,
+                      MaintenanceStrategy::kMutableBitmap,
+                      MaintenanceStrategy::kDeletedKeyBtree),
+    [](const auto& info) {
+      std::string name = StrategyName(info.param);
+      for (char& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name;
+    });
 
 }  // namespace
 }  // namespace auxlsm

@@ -14,6 +14,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "common/random.h"
 #include "core/dataset.h"
@@ -348,6 +349,145 @@ TEST(DegradedModeTest, RetryExhaustionDegradesThenClears) {
   EXPECT_TRUE(ds.GetById(last_committed, &got).ok());
   EXPECT_TRUE(ds.GetById(100, &got).ok());
 }
+
+// The error-atomicity contract on the writer pipeline: a failed background
+// cycle must never fail an op that already committed. A writer that reaches
+// the 2x-budget wait while the cycle burns its retry budget used to return
+// the cycle's error although its own upsert had committed. Now ops keep
+// committing (and returning OK) until the cycle fails; the first op to
+// return an error is the one after the dataset degraded, and it has no
+// effect. Runs on the coupled cycle (depth 0) and the merge queues (2).
+class PipelineErrorAtomicityTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(PipelineErrorAtomicityTest, FailedCycleNeverFailsACommittedOp) {
+  FaultInjector fault(11);
+  Env env(TestEnv(&fault));
+  DatasetOptions o = Opts(MaintenanceStrategy::kEager, &fault);
+  o.writer_threads = 2;
+  o.merge_queue_depth = GetParam();
+  o.mem_budget_bytes = 16 << 10;
+  o.maintenance_retry_limit = 8;
+  o.retry_backoff_us = 1000;  // the cycle outlasts the writer's 2x overrun
+  Dataset ds(&env, o);
+  fault.Arm(failpoints::kFlushBuild,
+            FaultSpec::Error(Status::IOError("disk down"), 1.0));
+  uint64_t time = 0;
+  std::vector<uint64_t> committed;
+  uint64_t failed_id = 0;
+  Status failed;
+  for (uint64_t id = 1; id <= 100000; id++) {
+    const Status st = ds.Upsert(MakeTweet(id, id % 5, ++time));
+    if (!st.ok()) {
+      failed = st;
+      failed_id = id;
+      break;
+    }
+    committed.push_back(id);
+  }
+  ASSERT_FALSE(failed.ok()) << "flush faults never surfaced";
+  EXPECT_EQ(ds.health(), DatasetHealth::kDegraded);
+  TweetRecord got;
+  EXPECT_TRUE(ds.GetById(failed_id, &got).IsNotFound())
+      << "op " << failed_id << " returned " << failed.ToString()
+      << " yet took effect";
+  for (uint64_t id : committed) {
+    ASSERT_TRUE(ds.GetById(id, &got).ok()) << "committed op " << id;
+  }
+  fault.DisarmAll();
+  ds.TakeBackgroundError();
+  ds.TakeBackgroundError();
+}
+
+INSTANTIATE_TEST_SUITE_P(MergeQueueDepth, PipelineErrorAtomicityTest,
+                         ::testing::Values(size_t{0}, size_t{2}));
+
+// Correlated merges (§4.4) slice every index at the pk-index anchor's
+// positions, so the primary and pk-index component lists must stay aligned
+// through merge failures. A correlated round merges the primary first; once
+// that merge has used up its retries the pk-index must stay untouched, and
+// the job's own retries must re-pick the same range. Here every merge
+// attempt fails: with a retry limit of 2, the job gives up after 3 job
+// attempts x 3 primary attempts and never reaches the pk-index. Then the
+// fault clears, ingest resumes and every later round merges aligned slices.
+class CorrelatedMergeFaultTest
+    : public ::testing::TestWithParam<MaintenanceStrategy> {};
+
+TEST_P(CorrelatedMergeFaultTest, ExhaustedPrimaryMergeKeepsPkIndexAligned) {
+  FaultInjector fault(17);
+  Env env(TestEnv(&fault));
+  DatasetOptions o = Opts(GetParam(), &fault);
+  o.correlated_merges = true;
+  o.maintenance_threads = 1;
+  o.mem_budget_bytes = 8 << 10;
+  o.maintenance_retry_limit = 2;
+  Dataset ds(&env, o);
+  LsmTree* primary = ds.primary();
+  LsmTree* pk = ds.primary_key_index();
+  ASSERT_NE(pk, nullptr);
+  auto aligned = [&]() {
+    const auto p = primary->Components();
+    const auto k = pk->Components();
+    if (p.size() != k.size()) return false;
+    for (size_t i = 0; i < p.size(); i++) {
+      if (p[i]->id().min_ts != k[i]->id().min_ts ||
+          p[i]->id().max_ts != k[i]->id().max_ts) {
+        return false;
+      }
+    }
+    return true;
+  };
+
+  fault.Arm(failpoints::kMerge,
+            FaultSpec::Error(Status::IOError("merge device down"), 1.0));
+  std::map<uint64_t, TweetRecord> model;
+  Random rng(808);
+  uint64_t time = 0;
+  bool degraded = false;
+  for (int step = 0; step < 3000; step++) {
+    const uint64_t id = 1 + rng.Uniform(kKeySpace);
+    Status st;
+    if (rng.Bernoulli(0.8)) {
+      const TweetRecord r = MakeTweet(id, rng.Uniform(kUserSpace), ++time);
+      st = ds.Upsert(r);
+      if (st.ok()) model[id] = r;
+    } else {
+      st = ds.Delete(id);
+      if (st.ok()) model.erase(id);
+    }
+    ASSERT_TRUE(aligned()) << "step " << step;
+    if (st.ok()) continue;
+    // The op failed fast on the degraded dataset, before any effect.
+    ASSERT_FALSE(degraded) << "step " << step << ": " << st.ToString();
+    degraded = true;
+    EXPECT_EQ(ds.health(), DatasetHealth::kDegraded);
+    EXPECT_EQ(fault.site_stats(failpoints::kMerge).hits, 9u)
+        << "a merge other than the primary's ran after it failed";
+    EXPECT_EQ(ds.ingest_stats().merges, 0u);
+    fault.DisarmAll();
+    EXPECT_FALSE(ds.TakeBackgroundError().ok());
+    ds.TakeBackgroundError();
+    ASSERT_EQ(ds.health(), DatasetHealth::kHealthy);
+  }
+  ASSERT_TRUE(degraded) << "the merge fault never surfaced";
+  EXPECT_GT(ds.ingest_stats().merges, 0u);
+  ASSERT_TRUE(ds.FlushAll().ok());
+  ASSERT_TRUE(aligned());
+  ValidateRecovered(&ds, model, "correlated");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Strategies, CorrelatedMergeFaultTest,
+    ::testing::Values(MaintenanceStrategy::kEager,
+                      MaintenanceStrategy::kValidation,
+                      MaintenanceStrategy::kMutableBitmap,
+                      MaintenanceStrategy::kDeletedKeyBtree),
+    [](const auto& info) {
+      std::string name = StrategyName(info.param);
+      for (char& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name;
+    });
 
 // Permanent errors never retry: a Corruption from a flush build is returned
 // immediately with the step's context attached, and the retry counters stay

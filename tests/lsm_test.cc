@@ -290,7 +290,7 @@ TEST(LsmTreeTest, ComponentIdPruningSkipsOldComponents) {
   EXPECT_FALSE(res.found);
 }
 
-TEST(LsmTreeTest, TryMergeFollowsPolicy) {
+TEST(LsmTreeTest, PickedMergeFollowsPolicy) {
   Env env(TestEnv());
   LsmTreeOptions opts = TreeOpts();
   opts.merge_policy = std::make_shared<TieringMergePolicy>(1.0, 1u << 30);
@@ -301,10 +301,12 @@ TEST(LsmTreeTest, TryMergeFollowsPolicy) {
     }
     ASSERT_TRUE(tree.Flush().ok());
   }
-  bool merged = false;
-  ASSERT_TRUE(tree.TryMerge(&merged).ok());
-  EXPECT_TRUE(merged);
+  std::vector<DiskComponentPtr> picked;
+  ASSERT_TRUE(tree.PickMergeCandidates(&picked));
+  EXPECT_EQ(picked.size(), 2u);
+  ASSERT_TRUE(tree.MergeComponents(picked).ok());
   EXPECT_EQ(tree.NumDiskComponents(), 1u);
+  EXPECT_FALSE(tree.PickMergeCandidates(&picked));
 }
 
 TEST(LsmTreeTest, RetiredComponentFilesDeleted) {
@@ -410,8 +412,10 @@ TEST(LsmTreeStressTest, RandomOpsMatchReferenceModel) {
     }
     if (i % 500 == 499) {
       ASSERT_TRUE(tree.Flush().ok());
-      bool merged = true;
-      while (merged) ASSERT_TRUE(tree.TryMerge(&merged).ok());
+      std::vector<DiskComponentPtr> picked;
+      while (tree.PickMergeCandidates(&picked)) {
+        ASSERT_TRUE(tree.MergeComponents(picked).ok());
+      }
     }
   }
   for (uint64_t k = 0; k < 500; k++) {

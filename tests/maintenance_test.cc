@@ -77,7 +77,7 @@ TEST_P(MaintenanceParityTest, ParallelEngineMatchesSerialEngine) {
   const MaintenanceStrategy strategy = GetParam();
   Env serial_env(TestEnv());
   Dataset serial(&serial_env, BaseOptions(strategy, 1));
-  EXPECT_EQ(serial.maintenance(), nullptr);
+  EXPECT_FALSE(serial.maintenance()->parallel());
   RunWorkload(&serial, 3000);
 
   Env parallel_env(TestEnv(/*cache_shards=*/8));

@@ -276,7 +276,7 @@ TEST(RecoveryTest, BitmapRedoUsesUpdateBitAndCheckpoint) {
   EXPECT_EQ(bitmap_redo[0], "z");
 }
 
-// --- Serial-path no-steal (DatasetOptions::strict_no_steal) ------------------
+// --- No-steal on the one-writer path -----------------------------------------
 
 namespace nosteal {
 
@@ -298,40 +298,21 @@ TweetRecord MakeTweet(uint64_t id) {
   return r;
 }
 
-DatasetOptions SmallBudget(bool strict) {
+DatasetOptions SmallBudget() {
   DatasetOptions o;
   o.strategy = MaintenanceStrategy::kEager;
   o.mem_budget_bytes = 4 << 10;  // a handful of records triggers the flush
-  o.strict_no_steal = strict;
   return o;
 }
 
 }  // namespace nosteal
 
-// Documents the legacy serial behavior the knob defaults to: an inline
-// budget-triggered flush runs *between an open explicit transaction's
-// operations* and writes its uncommitted entries to disk (a steal) — the
-// seed behavior, kept bit-for-bit while strict_no_steal is off.
-TEST(SerialNoStealTest, LegacyInlineFlushStealsUncommittedEntries) {
-  Env env(nosteal::TestEnv());
-  Dataset ds(&env, nosteal::SmallBudget(/*strict=*/false));
-  auto txn = ds.Begin();
-  for (uint64_t id = 1; id <= 60; id++) {
-    ASSERT_TRUE(ds.UpsertTxn(nosteal::MakeTweet(id), txn.get()).ok());
-  }
-  // The transaction is still open, yet its entries were flushed to disk.
-  EXPECT_GT(ds.ingest_stats().flushes, 0u);
-  EXPECT_GT(ds.primary()->NumDiskComponents(), 0u);
-  ASSERT_TRUE(txn->Abort().ok());
-}
-
-// The fix: with strict_no_steal the inline flush defers while an explicit
-// transaction is open (matching the pipeline's seal deferral), so a rollback
-// always finds its entries still in the memtable — no uncommitted data ever
-// reaches disk.
+// A budget-triggered flush defers while an explicit transaction is open, so
+// a rollback always finds its entries still in the memtable — no
+// uncommitted data ever reaches disk.
 TEST(SerialNoStealTest, StrictModeDefersFlushUntilTransactionCloses) {
   Env env(nosteal::TestEnv());
-  Dataset ds(&env, nosteal::SmallBudget(/*strict=*/true));
+  Dataset ds(&env, nosteal::SmallBudget());
   auto txn = ds.Begin();
   for (uint64_t id = 1; id <= 60; id++) {
     ASSERT_TRUE(ds.UpsertTxn(nosteal::MakeTweet(id), txn.get()).ok());
@@ -352,11 +333,11 @@ TEST(SerialNoStealTest, StrictModeDefersFlushUntilTransactionCloses) {
   EXPECT_TRUE(ds.GetById(5, &r).IsNotFound());
 }
 
-// Committed explicit transactions flush normally under strict mode: the
-// deferral ends as soon as the transaction closes.
+// Committed explicit transactions flush normally: the deferral ends as soon
+// as the transaction closes.
 TEST(SerialNoStealTest, StrictModeFlushesCommittedWork) {
   Env env(nosteal::TestEnv());
-  Dataset ds(&env, nosteal::SmallBudget(/*strict=*/true));
+  Dataset ds(&env, nosteal::SmallBudget());
   auto txn = ds.Begin();
   for (uint64_t id = 1; id <= 60; id++) {
     ASSERT_TRUE(ds.UpsertTxn(nosteal::MakeTweet(id), txn.get()).ok());
@@ -366,6 +347,30 @@ TEST(SerialNoStealTest, StrictModeFlushesCommittedWork) {
   ASSERT_TRUE(ds.Upsert(nosteal::MakeTweet(61)).ok());
   EXPECT_GT(ds.ingest_stats().flushes, 0u);
   EXPECT_EQ(ds.num_records(), 61u);
+}
+
+// An explicit FlushAll steals nothing either: while a transaction is open it
+// flushes nothing and reports Busy, so the rollback still reaches every
+// entry.
+TEST(SerialNoStealTest, FlushAllIsBusyWhileTransactionOpen) {
+  Env env(nosteal::TestEnv());
+  Dataset ds(&env, nosteal::SmallBudget());
+  auto txn = ds.Begin();
+  for (uint64_t id = 1; id <= 10; id++) {
+    ASSERT_TRUE(ds.UpsertTxn(nosteal::MakeTweet(id), txn.get()).ok());
+  }
+  const Status st = ds.FlushAll();
+  EXPECT_TRUE(st.IsBusy()) << st.ToString();
+  EXPECT_EQ(ds.primary()->NumDiskComponents(), 0u);
+  EXPECT_EQ(ds.ingest_stats().flushes, 0u);
+  ASSERT_TRUE(txn->Abort().ok());
+  EXPECT_EQ(ds.num_records(), 0u);
+
+  // Once the transaction is closed, FlushAll flushes again.
+  ASSERT_TRUE(ds.Upsert(nosteal::MakeTweet(100)).ok());
+  ASSERT_TRUE(ds.FlushAll().ok());
+  EXPECT_EQ(ds.primary()->NumDiskComponents(), 1u);
+  EXPECT_EQ(ds.num_records(), 1u);
 }
 
 }  // namespace
