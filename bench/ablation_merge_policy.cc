@@ -52,7 +52,9 @@ Outcome Run(std::shared_ptr<MergePolicy> policy, const char* /*name*/) {
           }
           const MergeRange r = policy->PickMerge(sizes);
           if (r.empty() || r.count() < 2) break;
-          if (!t->MergeComponentRange(r).ok()) std::abort();
+          const std::vector<DiskComponentPtr> picked(
+              comps.begin() + r.begin, comps.begin() + r.end);
+          if (!t->MergeComponents(picked).ok()) std::abort();
         }
       }
     }

@@ -7,15 +7,16 @@
 // Modeled-time accounting since PR 3: the paper series run on a single-queue
 // device, where simulated disk seconds are charged to one head — bit-for-bit
 // the legacy DiskModel, so the engine's parallelism only shows in `wall_s`.
-// The Fig15-mq section instead binds the engine's fanned-out flushes, merges,
-// and key-range partition scans to the independent queues of an NVMe device
-// profile: the device's critical path (`crit_s`, max over queue clocks)
-// drops strictly below the single-queue simulated time on the same workload,
-// which is how device concurrency — not host concurrency — shortens the
-// modeled ingestion story.
+// The Fig15-mq section instead binds the engine's fanned-out flushes and
+// per-tree merges to the independent queues of an NVMe device profile: the
+// device's critical path (`crit_s`, max over queue clocks) drops strictly
+// below the single-queue simulated time on the same workload, which is how
+// device concurrency — not host concurrency — shortens the modeled
+// ingestion story.
 //
-// Flags: --tiny (CI smoke sizes), --queues=N (device queues of the
-// multi-queue section; the paper series stay at 1).
+// Flags: --tiny (CI smoke sizes; also prints the serial Fig15a/Fig15b rows
+// as DIGEST lines, pinned in bench/baseline/DIGEST_fig15.txt), --queues=N
+// (device queues of the multi-queue section; the paper series stay at 1).
 #include <thread>
 
 #include "bench_util.h"
@@ -41,9 +42,7 @@ struct IngestResult {
 
 IngestResult RunIngest(const StrategyCase& sc, uint64_t max_mergeable,
                        size_t num_secondary, size_t threads = 1,
-                       uint32_t queues = 1,
-                       uint64_t partition_min_bytes = 8u << 20,
-                       bool nvme = false) {
+                       uint32_t queues = 1, bool nvme = false) {
   EnvOptions eo = BenchEnv(/*cache_mb=*/4, /*ssd=*/false,
                            /*cache_shards=*/threads > 1 ? 8 : 1);
   // The multi-queue comparison holds the cost parameters fixed and varies
@@ -56,7 +55,6 @@ IngestResult RunIngest(const StrategyCase& sc, uint64_t max_mergeable,
   o.mem_budget_bytes = 1 << 20;
   o.max_mergeable_bytes = max_mergeable;
   o.maintenance_threads = threads;
-  o.merge_partition_min_bytes = partition_min_bytes;
   o.secondary_indexes.clear();
   for (size_t i = 0; i < num_secondary; i++) {
     o.secondary_indexes.push_back(SecondaryIndexDef::SyntheticAttribute(i));
@@ -116,11 +114,17 @@ int main(int argc, char** argv) {
   };
   for (size_t n = 1; n <= 5; n++) {
     for (const auto& sc : sec_cases) {
-      const double t = RunIngest(sc, 8u << 20, n).total_s;
+      const IngestResult r = RunIngest(sc, 8u << 20, n);
+      const double t = r.total_s;
       char extra[64];
       std::snprintf(extra, sizeof(extra), "throughput=%.0f ops/s",
                     double(g_ops) / t);
       PrintRow(sc.name, std::to_string(n) + "-idx", t, extra);
+      if (flags.tiny) {
+        PrintDigest(std::string("fig15b-") + sc.name + "-" +
+                        std::to_string(n) + "-idx",
+                    r.sim_s * 1e6, r.crit_s * 1e6);
+      }
     }
   }
 
@@ -144,23 +148,20 @@ int main(int argc, char** argv) {
     PrintRow(sc.name, "mt=" + std::to_string(hw), parallel.total_s, extra);
   }
 
-  // Multi-queue device (the partitioned-merge section): same workload, NVMe
-  // profile with N queues, maintenance_threads=4 so large merges split into
-  // key-range partitions whose scans are bound to independent device queues
-  // (partition_min_bytes lowered so the 8MB merges actually partition). The
-  // reported crit_s — the device's critical path — must sit strictly below
-  // the queues=1 simulated time of the same workload: flushes, per-tree
-  // merges, and partition scans genuinely overlap in modeled time.
+  // Multi-queue device: same workload, NVMe profile with N queues,
+  // maintenance_threads=4 so the per-tree flush builds and merges fan out
+  // over the pool, each task bound to its own device queue. The reported
+  // crit_s — the device's critical path — must sit strictly below the
+  // queues=1 simulated time of the same workload: flushes and per-tree
+  // merges genuinely overlap in modeled time.
   PrintHeader("Fig15-mq",
-              "partitioned merges on NVMe: queues=1 sim vs queues=" +
+              "flush and per-tree merge fan-out on NVMe: queues=1 sim vs "
+              "queues=" +
                   std::to_string(flags.queues) + " critical path (mt=4)");
   for (const auto& sc : core_cases) {
-    const IngestResult q1 = RunIngest(sc, 8u << 20, 3, 4, 1,
-                                      /*partition_min_bytes=*/1u << 20,
-                                      /*nvme=*/true);
-    const IngestResult qn = RunIngest(sc, 8u << 20, 3, 4, flags.queues,
-                                      /*partition_min_bytes=*/1u << 20,
-                                      /*nvme=*/true);
+    const IngestResult q1 = RunIngest(sc, 8u << 20, 3, 4, 1, /*nvme=*/true);
+    const IngestResult qn =
+        RunIngest(sc, 8u << 20, 3, 4, flags.queues, /*nvme=*/true);
     char extra[160];
     std::snprintf(extra, sizeof(extra),
                   "sim_s(q=1) %.3f -> crit_s(q=%u) %.3f (%.2fx overlap)%s",

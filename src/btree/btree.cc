@@ -125,21 +125,4 @@ uint64_t Btree::Iterator::ordinal() const {
   return uint64_t{page_.first_ordinal()} + static_cast<uint64_t>(slot_);
 }
 
-Status Btree::ApproximateSplitKeys(size_t partitions,
-                                   std::vector<std::string>* out) const {
-  out->clear();
-  if (partitions < 2 || meta_.num_leaf_pages == 0) return Status::OK();
-  for (size_t i = 1; i < partitions; i++) {
-    const uint32_t leaf = static_cast<uint32_t>(
-        uint64_t{meta_.num_leaf_pages} * i / partitions);
-    if (leaf == 0 || leaf >= meta_.num_leaf_pages) continue;
-    BtreePage page;
-    AUXLSM_RETURN_NOT_OK(ReadPage(meta_.first_leaf_page + leaf, &page));
-    if (!page.is_leaf() || page.count() == 0) continue;
-    std::string key = page.KeyAt(0).ToString();
-    if (out->empty() || out->back() < key) out->push_back(std::move(key));
-  }
-  return Status::OK();
-}
-
 }  // namespace auxlsm

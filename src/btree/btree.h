@@ -65,13 +65,6 @@ class Btree {
     return Iterator(this, readahead_pages);
   }
 
-  /// Returns up to `partitions - 1` keys that split the tree's key space
-  /// into roughly equal-sized runs of leaf pages (used by partitioned
-  /// merges). Keys are strictly ascending first-keys of evenly spaced
-  /// leaves; fewer (possibly zero) keys come back for small trees.
-  Status ApproximateSplitKeys(size_t partitions,
-                              std::vector<std::string>* out) const;
-
   /// Descends to the leaf that may contain key; returns the loaded page and
   /// its page number. Shared by Get and the stateful cursor.
   Status FindLeaf(const Slice& key, BtreePage* page, uint32_t* page_no) const;

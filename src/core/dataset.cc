@@ -118,11 +118,7 @@ Dataset::Dataset(Env* env, DatasetOptions options)
   }
   MaintenanceOptions mopts;
   mopts.threads = options_.maintenance_threads;
-  mopts.partition_min_bytes = options_.merge_partition_min_bytes == 0
-                                  ? UINT64_MAX
-                                  : options_.merge_partition_min_bytes;
   mopts.io = env_->io();  // queue affinity for fanned-out maintenance tasks
-  mopts.fault = options_.fault_injector;
   maintenance_ = std::make_unique<MaintenanceScheduler>(mopts);
   // Multi-writer commits batch their modeled log syncs (group commit).
   if (multi_writer()) wal_.set_group_commit(true);
@@ -492,7 +488,19 @@ Result<bool> Dataset::FlushMemtables(bool forced) {
       return s;
     });
   }
-  AUXLSM_RETURN_NOT_OK(maintenance_->RunAll(std::move(builds)));
+  // A cycle that fails before its install releases every component it
+  // built: an uninstalled component's file and write-through cached pages
+  // would otherwise outlive it. The sealed memtables stay pending, so the
+  // next cycle re-flushes them.
+  auto release_built = [&built](const Status& s) {
+    for (const auto& c : built) {
+      if (c != nullptr) c->MarkRetired();
+    }
+    return s;
+  };
+  if (Status s = maintenance_->RunAll(std::move(builds)); !s.ok()) {
+    return release_built(s);
+  }
 
   // Install under the latch: all trees' components appear atomically w.r.t.
   // ingestion, preserving the positional alignment that correlated merges
@@ -504,13 +512,15 @@ Result<bool> Dataset::FlushMemtables(bool forced) {
     obs::TraceSpan install_span(tracer_.get(), "install", "maintenance");
     WriteLatchGuard latch(ingest_mu_);
     if (fault != nullptr) {
-      AUXLSM_RETURN_NOT_OK(RunWithRetry("install", [&]() -> Status {
-        return fault->Hit(failpoints::kInstall, env_->io());
-      }));
+      if (Status s = RunWithRetry("install", [&]() -> Status {
+            return fault->Hit(failpoints::kInstall, env_->io());
+          });
+          !s.ok()) {
+        return release_built(s);
+      }
     }
     for (size_t i = 0; i < sealed.size(); i++) {
-      AUXLSM_RETURN_NOT_OK(
-          sealed[i].first->InstallFlushed(sealed[i].second, built[i]));
+      sealed[i].first->InstallFlushed(sealed[i].second, built[i]);
       built[i]->set_max_lsn(flush_lsn);
     }
     if (options_.strategy == MaintenanceStrategy::kMutableBitmap) {
@@ -587,7 +597,7 @@ std::vector<MaintenanceScheduler::MergeJob> Dataset::MergeJobs() {
     if (t == nullptr) continue;
     add(t, [this, t]() {
       uint64_t merges = 0;
-      const Status s = maintenance_->MergeToPolicy(t, &merges);
+      const Status s = PlainMergesToPolicy(t, &merges);
       stats_.merges += merges;
       return s;
     });
@@ -614,8 +624,23 @@ Status Dataset::SecondaryMergesToPolicy(SecondaryIndex* s, uint64_t* merges,
   if (options_.strategy == MaintenanceStrategy::kDeletedKeyBtree) {
     return DeletedKeyMergesToPolicy(s, merges);
   }
-  AUXLSM_RETURN_NOT_OK(maintenance_->MergeToPolicy(s->tree.get(), merges));
-  return maintenance_->MergeToPolicy(s->deleted_keys.get(), merges);
+  return PlainMergesToPolicy(s->tree.get(), merges);
+}
+
+Status Dataset::MergeFailpoint() {
+  FaultInjector* const fault = options_.fault_injector;
+  return fault == nullptr ? Status::OK()
+                          : fault->Hit(failpoints::kMerge, env_->io());
+}
+
+Status Dataset::PlainMergesToPolicy(LsmTree* tree, uint64_t* merges) {
+  std::vector<DiskComponentPtr> picked;
+  while (tree->PickMergeCandidates(&picked)) {
+    AUXLSM_RETURN_NOT_OK(MergeFailpoint());
+    AUXLSM_RETURN_NOT_OK(tree->MergeComponents(picked));
+    (*merges)++;
+  }
+  return Status::OK();
 }
 
 void Dataset::RecordBitmapFixup(const std::string& pk, Timestamp ts) {
@@ -694,14 +719,11 @@ Status Dataset::MergeRepairToPolicy(SecondaryIndex* index, uint64_t* merges,
                                     uint64_t* repairs) {
   // Merge repair replaces the plain merge for secondary indexes (§4.4). The
   // tree's own policy is the same tiering policy the options describe.
-  FaultInjector* const fault = options_.fault_injector;
   std::vector<DiskComponentPtr> picked;
   while (index->tree->PickMergeCandidates(&picked)) {
     AUXLSM_RETURN_NOT_OK(RunWithRetry(
         "repair(" + index->def.name + ")", [&]() -> Status {
-          if (fault != nullptr) {
-            AUXLSM_RETURN_NOT_OK(fault->Hit(failpoints::kMerge, env_->io()));
-          }
+          AUXLSM_RETURN_NOT_OK(MergeFailpoint());
           return RunMergeRepair(this, index, picked);
         }));
     (*merges)++;
@@ -749,12 +771,9 @@ Status Dataset::DeletedKeyMergesToPolicy(SecondaryIndex* index,
       auto dk = index->deleted_keys->Components();
       if (dk.size() >= r.end) dk_picked = SliceRange(dk, r);
     }
-    FaultInjector* const fault = options_.fault_injector;
     AUXLSM_RETURN_NOT_OK(RunWithRetry(
         "merge(" + index->def.name + ".deleted)", [&]() -> Status {
-          if (fault != nullptr) {
-            AUXLSM_RETURN_NOT_OK(fault->Hit(failpoints::kMerge, env_->io()));
-          }
+          AUXLSM_RETURN_NOT_OK(MergeFailpoint());
           return RunDeletedKeyMergePicked(this, index, picked, dk_picked);
         }));
     (*merges)++;
@@ -819,14 +838,15 @@ Status Dataset::CorrelatedMerge() {
       }
     }
 
-    // Merge of one tree's captured slice on the engine (which may partition
-    // large merges). A merge fails before any component is replaced, so
-    // transient failures retry against the same captured slice.
+    // Merge of one tree's captured slice. A merge fails before any
+    // component is replaced, so transient failures retry against the same
+    // captured slice.
     auto merge_picked =
         [this](LsmTree* t,
                const std::vector<DiskComponentPtr>& picked) -> Status {
       return RunWithRetry("merge(" + t->options().name + ")", [&]() {
-        return maintenance_->MergeComponents(t, picked);
+        AUXLSM_RETURN_NOT_OK(MergeFailpoint());
+        return t->MergeComponents(picked);
       });
     };
 

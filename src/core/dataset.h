@@ -119,9 +119,6 @@ struct DatasetOptions {
   /// 0 = one per hardware thread; 1 = no pool: the maintenance cycle runs
   /// every flush build and merge inline on the thread that runs the cycle.
   size_t maintenance_threads = 0;
-  /// Merges of at least this many input bytes are additionally split into
-  /// key-range partitions scanned in parallel (0 disables partitioning).
-  uint64_t merge_partition_min_bytes = 8u << 20;
 
   // --- Concurrent ingestion pipeline (PR 2) ---------------------------------
   /// Number of writer threads the dataset is tuned for. Either way a budget
@@ -582,6 +579,12 @@ class Dataset {
   /// and the merges install by identity, which tolerates components
   /// prepended meanwhile.
   Status CorrelatedMerge();
+  /// Hits the maintenance.merge failpoint ahead of a merge attempt, before
+  /// it reads anything.
+  Status MergeFailpoint();
+  /// Plain merges of `tree` (LsmTree::MergeComponents) until its policy is
+  /// satisfied; adds the merges run to *merges.
+  Status PlainMergesToPolicy(LsmTree* tree, uint64_t* merges);
   /// Merge-repair merges for one secondary index until its policy is
   /// satisfied (Validation strategy, §4.4).
   Status MergeRepairToPolicy(SecondaryIndex* index, uint64_t* merges,

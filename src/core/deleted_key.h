@@ -9,14 +9,12 @@
 
 namespace auxlsm {
 
-Status RunDeletedKeyMerge(Dataset* dataset, SecondaryIndex* index,
-                          const MergeRange& range);
-
-/// Identity-based form: merges the captured secondary-index components and,
-/// in lock step, the captured companion deleted-key components (empty =
-/// companion not merged). Decoupled merge-queue jobs use this — a flush
-/// install racing the merge shifts positional ranges but not identities;
-/// ReplaceComponents fails safe if the picks are no longer current.
+/// Merges the captured secondary-index components, dropping entries whose
+/// primary key the deleted-key tree holds with a newer timestamp, then, in
+/// lock step, the captured companion deleted-key components (empty =
+/// companion not merged). Picks are identities, not positions: a flush
+/// install racing the merge shifts positions, and the install fails safe if
+/// the picks are no longer current.
 Status RunDeletedKeyMergePicked(Dataset* dataset, SecondaryIndex* index,
                                 const std::vector<DiskComponentPtr>& picked,
                                 const std::vector<DiskComponentPtr>& dk_picked);

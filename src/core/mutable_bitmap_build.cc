@@ -100,6 +100,8 @@ struct DualBuilder {
 };
 
 // Installs the finished primary/pk component pair, replacing the old ones.
+// An output that ends up not installed is retired, so a failure at any step
+// leaves none of its pages in the store or the buffer cache.
 Status InstallPair(Dataset* ds, const std::vector<DiskComponentPtr>& old_p,
                    const std::vector<DiskComponentPtr>& old_k,
                    DualBuilder* dual, ComponentId id, Timestamp repaired,
@@ -107,10 +109,13 @@ Status InstallPair(Dataset* ds, const std::vector<DiskComponentPtr>& old_p,
                    uint64_t* output_entries) {
   BtreeMeta pmeta, kmeta;
   AUXLSM_RETURN_NOT_OK(dual->primary.Finish(&pmeta));
-  AUXLSM_RETURN_NOT_OK(dual->pk.Finish(&kmeta));
-  *output_entries = pmeta.num_entries;
-
+  // The finished primary file now belongs to pcomp, not its builder.
   auto pcomp = std::make_shared<DiskComponent>(id, ds->env(), pmeta);
+  if (Status st = dual->pk.Finish(&kmeta); !st.ok()) {
+    pcomp->MarkRetired();
+    return st;
+  }
+  *output_entries = pmeta.num_entries;
   auto kcomp = std::make_shared<DiskComponent>(id, ds->env(), kmeta);
   const double fpr = ds->options().bloom_fpr;
   pcomp->set_bloom(std::make_unique<BloomFilter>(dual->hashes, fpr));
@@ -132,7 +137,7 @@ Status InstallPair(Dataset* ds, const std::vector<DiskComponentPtr>& old_p,
   pcomp->set_repaired_ts(repaired);
   kcomp->set_repaired_ts(repaired);
   // Recovery replays from the max component LSN; the merged pair must keep
-  // carrying the newest LSN of its inputs (see LsmTree::MergeFromStream).
+  // carrying the newest LSN of its inputs (see LsmTree::MergeComponents).
   Lsn max_lsn = kInvalidLsn;
   for (const auto& c : old_p) max_lsn = std::max(max_lsn, c->max_lsn());
   pcomp->set_max_lsn(max_lsn);
@@ -144,10 +149,18 @@ Status InstallPair(Dataset* ds, const std::vector<DiskComponentPtr>& old_p,
   }
   pcomp->set_range_filter(f);
 
-  AUXLSM_RETURN_NOT_OK(ds->primary()->ReplaceComponents(old_p, pcomp));
-  if (ds->primary_key_index() != nullptr) {
-    AUXLSM_RETURN_NOT_OK(
-        ds->primary_key_index()->ReplaceComponents(old_k, kcomp));
+  LsmTree* const pk_tree = ds->primary_key_index();
+  if (pk_tree == nullptr) kcomp->MarkRetired();  // no tree to install into
+  if (Status st = ds->primary()->ReplaceComponents(old_p, pcomp); !st.ok()) {
+    pcomp->MarkRetired();
+    kcomp->MarkRetired();
+    return st;
+  }
+  if (pk_tree != nullptr) {
+    if (Status st = pk_tree->ReplaceComponents(old_k, kcomp); !st.ok()) {
+      kcomp->MarkRetired();
+      return st;
+    }
   }
   return Status::OK();
 }

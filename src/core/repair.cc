@@ -119,58 +119,33 @@ Status ValidateSortedKeys(Dataset* ds, std::vector<RepairKey>* keys,
 
 Status RunMergeRepair(Dataset* ds, SecondaryIndex* index,
                       const std::vector<DiskComponentPtr>& picked) {
-  if (picked.empty()) return Status::OK();
-  LsmTree* tree = index->tree.get();
-  bool includes_oldest;
-  {
-    auto all = tree->Components();
-    includes_oldest = !all.empty() && picked.back() == all.back();
-  }
-
-  // Fig 7 lines 1-7: scan valid entries into the new component, streaming
-  // (pkey, ts, position) to the sorter.
-  MergeCursor::Options mo;
-  mo.respect_bitmaps = true;
-  mo.drop_antimatter = includes_oldest;
-  MergeCursor cursor(picked, mo);
-  AUXLSM_RETURN_NOT_OK(cursor.Init());
-
+  // Fig 7 lines 1-7: the merge streams (pkey, ts, position) of every valid
+  // entry it writes to the sorter.
   std::vector<RepairKey> repair_keys;
-  Status iter_status;
-  uint64_t position = 0;
-  auto next = [&](OwnedEntry* e) {
-    if (!cursor.Valid()) return false;
-    e->key = cursor.key().ToString();
-    e->value = cursor.value().ToString();
-    e->ts = cursor.ts();
-    e->antimatter = cursor.antimatter();
-    if (!e->antimatter) {
+  MergeSteps steps;
+  steps.entry = [&](const OwnedEntry& e, uint64_t ordinal, bool*) {
+    if (!e.antimatter) {
       Slice pk;
-      SplitSecondaryKey(e->key, index->def.sk_width, nullptr, &pk);
-      repair_keys.push_back(RepairKey{pk.ToString(), e->ts, position});
+      SplitSecondaryKey(e.key, index->def.sk_width, nullptr, &pk);
+      repair_keys.push_back(RepairKey{pk.ToString(), e.ts, ordinal});
     }
-    position++;
-    iter_status = cursor.Next();
-    return iter_status.ok();
+    return Status::OK();
   };
-
-  const ComponentId id{picked.back()->id().min_ts, picked.front()->id().max_ts};
-  AUXLSM_ASSIGN_OR_RETURN(DiskComponentPtr merged,
-                          tree->BuildComponent(id, next));
-  AUXLSM_RETURN_NOT_OK(iter_status);
-
-  Timestamp repaired = picked.front()->repaired_ts();
-  for (const auto& c : picked) repaired = std::min(repaired, c->repaired_ts());
-
-  // Fig 7 lines 8-13: sort, validate, set bitmap bits.
-  auto bitmap = std::make_shared<Bitmap>(merged->num_entries());
-  Timestamp new_repaired = repaired;
-  AUXLSM_RETURN_NOT_OK(ValidateSortedKeys(ds, &repair_keys, repaired,
-                                          ds->options().repair_bloom_opt,
-                                          bitmap.get(), &new_repaired));
-  if (bitmap->CountSet() > 0) merged->set_bitmap(std::move(bitmap));
-  merged->set_repaired_ts(new_repaired);
-  return tree->ReplaceComponents(picked, merged);
+  // Fig 7 lines 8-13: sort, validate, set bitmap bits — before the install,
+  // since set_bitmap is not synchronized against readers. Validation starts
+  // from the inputs' most conservative repaired_ts, which the merged
+  // component has inherited.
+  steps.before_install = [&](DiskComponent* merged) -> Status {
+    auto bitmap = std::make_shared<Bitmap>(merged->num_entries());
+    Timestamp new_repaired = merged->repaired_ts();
+    AUXLSM_RETURN_NOT_OK(ValidateSortedKeys(
+        ds, &repair_keys, merged->repaired_ts(),
+        ds->options().repair_bloom_opt, bitmap.get(), &new_repaired));
+    if (bitmap->CountSet() > 0) merged->set_bitmap(std::move(bitmap));
+    merged->set_repaired_ts(new_repaired);
+    return Status::OK();
+  };
+  return index->tree->MergeComponents(picked, steps);
 }
 
 Status RunStandaloneRepair(Dataset* ds, SecondaryIndex* index) {

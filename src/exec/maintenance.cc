@@ -5,7 +5,6 @@
 #include <thread>
 
 #include "exec/thread_pool.h"
-#include "fault/fault_injector.h"
 #include "io/io_engine.h"
 
 namespace auxlsm {
@@ -185,18 +184,14 @@ size_t MaintenanceScheduler::PoolQueueDepth() {
   return pool_ == nullptr ? 0 : pool_->QueueDepth();
 }
 
-size_t MaintenanceScheduler::partitions() const {
-  return options_.merge_partitions == 0 ? threads_
-                                        : options_.merge_partitions;
-}
-
 Status MaintenanceScheduler::WaitAll(
     std::vector<std::future<Status>>& futures) {
   ThreadPool* p = pool();
   Status first_error;
   for (auto& f : futures) {
     // Help drain the pool queue while waiting, so tasks that themselves
-    // fanned out (nested merges) cannot starve on a fully blocked pool.
+    // fanned out (a correlated merge's secondary phase) cannot starve on a
+    // fully blocked pool.
     while (f.wait_for(std::chrono::seconds(0)) !=
            std::future_status::ready) {
       if (!p->RunOneQueued()) {
@@ -242,103 +237,6 @@ Status MaintenanceScheduler::RunAll(
     futures.push_back(p->Submit(std::move(t)));
   }
   return WaitAll(futures);
-}
-
-Status MaintenanceScheduler::MergeToPolicy(LsmTree* tree, uint64_t* merges) {
-  if (tree == nullptr) return Status::OK();
-  std::vector<DiskComponentPtr> picked;
-  while (tree->PickMergeCandidates(&picked)) {
-    AUXLSM_RETURN_NOT_OK(MergeComponents(tree, picked));
-    if (merges != nullptr) (*merges)++;
-  }
-  return Status::OK();
-}
-
-Status MaintenanceScheduler::MergeComponents(
-    LsmTree* tree, const std::vector<DiskComponentPtr>& picked) {
-  if (picked.empty()) return Status::OK();
-  if (options_.fault != nullptr) {
-    AUXLSM_RETURN_NOT_OK(
-        options_.fault->Hit(failpoints::kMerge, options_.io));
-  }
-  uint64_t total_bytes = 0;
-  for (const auto& c : picked) total_bytes += c->size_bytes();
-  const size_t parts = partitions();
-  if (!parallel() || parts < 2 || picked.size() < 2 ||
-      total_bytes < options_.partition_min_bytes) {
-    return tree->MergeComponents(picked);
-  }
-
-  // Partition boundaries: evenly spaced leaf first-keys of the largest
-  // input, which dominates the merge's key distribution.
-  const DiskComponentPtr* largest = &picked.front();
-  for (const auto& c : picked) {
-    if (c->size_bytes() > (*largest)->size_bytes()) largest = &c;
-  }
-  std::vector<std::string> splits;
-  AUXLSM_RETURN_NOT_OK(
-      (*largest)->tree().ApproximateSplitKeys(parts, &splits));
-  if (splits.empty()) return tree->MergeComponents(picked);
-
-  const bool includes_oldest = tree->IsOldestComponent(picked.back());
-  const uint32_t readahead = tree->options().scan_readahead_pages;
-
-  // Scan partition i = keys in [splits[i-1], splits[i]) — reconciled and
-  // bitmap/anti-matter filtered exactly as a whole-range merge would. The
-  // partition outputs are buffered in memory until the stitch, so peak
-  // memory is O(merge output); merges are bounded by the policy's
-  // max_mergeable_bytes, and partition_min_bytes keeps small merges on the
-  // streaming serial path. Spilling partitions to temp files would lift the
-  // bound for unbounded full merges (see ROADMAP open items).
-  const size_t n_parts = splits.size() + 1;
-  std::vector<std::vector<OwnedEntry>> part_entries(n_parts);
-  auto scan_part = [&, includes_oldest, readahead](size_t i) -> Status {
-    MergeCursor::Options mo;
-    mo.readahead_pages = readahead;
-    mo.respect_bitmaps = true;
-    mo.drop_antimatter = includes_oldest;
-    if (i > 0) mo.lower_bound = splits[i - 1];
-    if (i < splits.size()) {
-      mo.upper_bound = splits[i];
-      mo.upper_bound_exclusive = true;  // partition i+1 owns splits[i]
-    }
-    MergeCursor cursor(picked, mo);
-    AUXLSM_RETURN_NOT_OK(cursor.Init());
-    std::vector<OwnedEntry>& out = part_entries[i];
-    while (cursor.Valid()) {
-      OwnedEntry e;
-      e.key = cursor.key().ToString();
-      e.value = cursor.value().ToString();
-      e.ts = cursor.ts();
-      e.antimatter = cursor.antimatter();
-      out.push_back(std::move(e));
-      AUXLSM_RETURN_NOT_OK(cursor.Next());
-    }
-    return Status::OK();
-  };
-
-  std::vector<std::function<Status()>> tasks;
-  tasks.reserve(n_parts);
-  for (size_t i = 0; i < n_parts; i++) {
-    tasks.push_back([&scan_part, i]() { return scan_part(i); });
-  }
-  AUXLSM_RETURN_NOT_OK(RunAll(std::move(tasks)));
-
-  // Stitch: feed the partition outputs, in key order, to one component
-  // build. MergeFromStream re-applies repaired-ts and range-filter rules.
-  size_t pi = 0, ei = 0;
-  auto next = [&](OwnedEntry* e) {
-    while (pi < part_entries.size() && ei >= part_entries[pi].size()) {
-      part_entries[pi].clear();
-      part_entries[pi].shrink_to_fit();
-      pi++;
-      ei = 0;
-    }
-    if (pi >= part_entries.size()) return false;
-    *e = std::move(part_entries[pi][ei++]);
-    return true;
-  };
-  return tree->MergeFromStream(picked, next);
 }
 
 }  // namespace auxlsm

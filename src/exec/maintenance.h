@@ -1,5 +1,7 @@
 // Background maintenance engine: runs the flushes and merges of a Dataset's
-// index trees concurrently on a ThreadPool (exec/thread_pool.h).
+// index trees concurrently on a ThreadPool (exec/thread_pool.h). It only
+// schedules: every merge it runs is LsmTree::MergeComponents, or the §5.3
+// primary+pk pair build (core/mutable_bitmap_build.h).
 //
 // Architecture / threading model of src/exec/:
 //
@@ -9,11 +11,12 @@
 //   background thread) and FlushAll:
 //     FlushMemtables ── one build per sealed ─► RunAll: component builds
 //                       memtable
-//     MergeJobs ─┬─ coupled: one job per tree ► RunAll: MergeToPolicy loops
+//     MergeJobs ─┬─ coupled: one job per tree ► RunAll: each job merges
+//                │                              its tree to policy
 //                └─ decoupled ──────────────► EnqueueMergeRound: per-tree
 //                                             FIFO queues, drain workers
-//   CorrelatedMerge ── primary, then pk; ───► RunAll: ranged merges,
-//                      per round                one task per secondary
+//   CorrelatedMerge ── primary, then pk; ───► RunAll: one task per
+//                      per round                secondary
 //                                             │
 //                                             ▼
 //                                       ThreadPool (N workers; none at
@@ -23,11 +26,8 @@
 //     secondary, and deleted-key trees flush and merge concurrently (a
 //     correlated round merges the primary before the pk index). Merges
 //     of one tree are never issued concurrently (per-tree serialization):
-//     each tree's merge loop runs inside a single task.
-//   - A large merge of one tree may additionally be split into key-range
-//     partitions (MergeCursor lower/upper bounds); the partitions are
-//     scanned in parallel and the outputs stitched into one component by
-//     LsmTree::MergeFromStream.
+//     each tree's merge loop runs inside a single task, and each merge is
+//     one streaming scan on that task's thread.
 //   - Shared state touched from tasks: Env's PageStore / IoEngine /
 //     BufferCache (each internally synchronized; the BufferCache is
 //     lock-striped into shards), and each LsmTree's components_ list
@@ -37,8 +37,8 @@
 //     just the coordinating thread.
 //   - Queue affinity: when MaintenanceOptions::io names a multi-queue
 //     IoEngine, RunAll binds task i to device queue (i % queues) for the
-//     task's duration (IoQueueScope), so fanned-out flushes and partitioned
-//     merge scans charge independent queue clocks and genuinely overlap in
+//     task's duration (IoQueueScope), so fanned-out flushes and per-tree
+//     merges charge independent queue clocks and genuinely overlap in
 //     *simulated* time, not just wall-clock. The mapping is by task index,
 //     not worker thread, so it is deterministic under work stealing and
 //     "helping", and it applies on the serial inline path too (modeled
@@ -46,8 +46,8 @@
 //     single-queue engine every binding resolves to queue 0 — bit-for-bit
 //     the legacy single-head charging.
 //   - Waits use "helping": a thread blocked on task futures runs queued
-//     tasks itself, so nested fan-out (merge loop inside a task spawning
-//     partition scans) cannot deadlock the fixed-size pool.
+//     tasks itself, so nested fan-out (a correlated merge job running its
+//     secondary phase on RunAll) cannot deadlock the fixed-size pool.
 //   - Decoupled merge scheduling (PR 5): EnqueueMergeRound hands merge work
 //     to per-tree FIFO queues drained by dedicated lazily-spawned drain
 //     workers — NOT the flush pool, so a long merge backlog can never starve
@@ -75,32 +75,20 @@
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
-#include "lsm/lsm_tree.h"
 
 namespace auxlsm {
 
 class ThreadPool;
 class IoEngine;
-class FaultInjector;
 
 struct MaintenanceOptions {
   /// Worker threads. 0 = one per hardware thread; 1 = no pool (every
   /// scheduler entry point runs on the caller's thread).
   size_t threads = 0;
-  /// Number of key-range partitions a large merge is split into.
-  /// 0 = match the thread count.
-  size_t merge_partitions = 0;
-  /// Only merges of at least this many input bytes are partitioned (small
-  /// merges are dominated by setup cost).
-  uint64_t partition_min_bytes = 8u << 20;
   /// Device engine for queue affinity: RunAll binds task i to device queue
   /// (i % queues). Null or single-queue = every task charges queue 0, the
   /// legacy single-head accounting.
   IoEngine* io = nullptr;
-  /// Optional fault injector (fault/fault_injector.h): MergeComponents hits
-  /// the "maintenance.merge" failpoint before any merge I/O. Null disables
-  /// (a pure branch — no behavior change).
-  FaultInjector* fault = nullptr;
 };
 
 class MaintenanceScheduler {
@@ -125,17 +113,6 @@ class MaintenanceScheduler {
   /// Runs every task (on the pool when parallel, else inline) and returns
   /// the first non-OK status. All tasks run to completion either way.
   Status RunAll(std::vector<std::function<Status()>>&& tasks);
-
-  /// Repeatedly consults `tree`'s merge policy and merges until it is
-  /// satisfied, splitting large merges into key-range partitions. Adds the
-  /// number of merges run to *merges (may be null).
-  Status MergeToPolicy(LsmTree* tree, uint64_t* merges);
-
-  /// One merge of `picked` into a single component, scanned as parallel
-  /// key-range partitions when profitable, else delegated to
-  /// LsmTree::MergeComponents.
-  Status MergeComponents(LsmTree* tree,
-                         const std::vector<DiskComponentPtr>& picked);
 
   // --- Decoupled per-tree merge queues --------------------------------------
   /// Opaque serial-stream key: one tree (or one correlated-merge group).
@@ -182,8 +159,6 @@ class MaintenanceScheduler {
  private:
   /// Blocks on `futures`, helping run queued pool tasks meanwhile.
   Status WaitAll(std::vector<std::future<Status>>& futures);
-
-  size_t partitions() const;
 
   struct QueuedMergeJob {
     std::function<Status()> work;

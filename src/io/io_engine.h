@@ -1,7 +1,7 @@
 // Multi-queue simulated I/O engine.
 //
 // The legacy DiskModel charges every page access of an Env to a single disk
-// head, so concurrent maintenance (parallel flushes, partitioned merges,
+// head, so concurrent maintenance (parallel flushes, per-tree merges,
 // group-commit syncs) could only shorten wall-clock time — simulated disk
 // seconds were structurally blind to parallelism. The IoEngine replaces that
 // with a device-level request scheduler:

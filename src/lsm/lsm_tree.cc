@@ -126,15 +126,6 @@ size_t LsmTree::MemBytes() const {
   return total;
 }
 
-bool LsmTree::MemEmpty() const {
-  MutexLock l(mem_mu_);
-  if (!mem_->empty()) return false;
-  for (const auto& m : sealed_) {
-    if (!m->empty()) return false;
-  }
-  return true;
-}
-
 Timestamp LsmTree::MemMinTs() const {
   MutexLock l(mem_mu_);
   Timestamp min = mem_->min_ts();
@@ -277,8 +268,8 @@ Result<DiskComponentPtr> LsmTree::BuildFromSealed(
   return component;
 }
 
-Status LsmTree::InstallFlushed(const std::shared_ptr<Memtable>& sealed,
-                               DiskComponentPtr component) {
+void LsmTree::InstallFlushed(const std::shared_ptr<Memtable>& sealed,
+                             DiskComponentPtr component) {
   {
     MutexLock ml(mem_mu_);
     auto it = std::find(sealed_.begin(), sealed_.end(), sealed);
@@ -287,7 +278,7 @@ Status LsmTree::InstallFlushed(const std::shared_ptr<Memtable>& sealed,
       // explicit FlushAll racing the background cycle); drop the duplicate
       // build rather than installing the same entries twice.
       component->MarkRetired();
-      return Status::OK();
+      return;
     }
     // Publish the component before dropping the sealed memtable: a reader
     // between the two steps sees the entry twice (reconciled by timestamp),
@@ -300,7 +291,6 @@ Status LsmTree::InstallFlushed(const std::shared_ptr<Memtable>& sealed,
     sealed_.erase(it);
   }
   if (install_hook_) install_hook_();
-  return Status::OK();
 }
 
 Status LsmTree::Flush() {
@@ -313,7 +303,7 @@ Status LsmTree::Flush() {
   }
   for (const auto& m : pending) {
     AUXLSM_ASSIGN_OR_RETURN(DiskComponentPtr component, BuildFromSealed(m));
-    AUXLSM_RETURN_NOT_OK(InstallFlushed(m, component));
+    InstallFlushed(m, component);
   }
   return Status::OK();
 }
@@ -338,16 +328,6 @@ bool LsmTree::PickMergeCandidates(
   return true;
 }
 
-Status LsmTree::MergeComponentRange(const MergeRange& range) {
-  std::vector<DiskComponentPtr> snapshot = Components();
-  if (range.end > snapshot.size() || range.empty()) {
-    return Status::InvalidArgument("bad merge range");
-  }
-  std::vector<DiskComponentPtr> picked(snapshot.begin() + range.begin,
-                                       snapshot.begin() + range.end);
-  return MergeComponents(picked);
-}
-
 Status LsmTree::MergeAll() {
   std::vector<DiskComponentPtr> snapshot = Components();
   if (snapshot.size() < 2) return Status::OK();
@@ -359,7 +339,8 @@ bool LsmTree::IsOldestComponent(const DiskComponentPtr& c) const {
   return !components_.empty() && c == components_.back();
 }
 
-Status LsmTree::MergeComponents(const std::vector<DiskComponentPtr>& picked) {
+Status LsmTree::MergeComponents(const std::vector<DiskComponentPtr>& picked,
+                                const MergeSteps& steps) {
   if (picked.empty()) return Status::OK();
   // Anti-matter may be dropped only if the merge reaches the oldest
   // component (no older component can hold a shadowed version).
@@ -371,33 +352,32 @@ Status LsmTree::MergeComponents(const std::vector<DiskComponentPtr>& picked) {
   MergeCursor cursor(picked, mo);
   AUXLSM_RETURN_NOT_OK(cursor.Init());
 
-  Status iter_status;
+  // The entry step runs before the cursor advances, so any lookup it makes
+  // precedes the next input page read, entry by entry.
+  Status stream_status;
+  uint64_t emitted = 0;
   auto next = [&](OwnedEntry* e) {
-    if (!cursor.Valid()) return false;
-    e->key = cursor.key().ToString();
-    e->value = cursor.value().ToString();
-    e->ts = cursor.ts();
-    e->antimatter = cursor.antimatter();
-    iter_status = cursor.Next();
-    return iter_status.ok();
+    while (cursor.Valid()) {
+      e->key = cursor.key().ToString();
+      e->value = cursor.value().ToString();
+      e->ts = cursor.ts();
+      e->antimatter = cursor.antimatter();
+      bool keep = true;
+      if (steps.entry) {
+        stream_status = steps.entry(*e, emitted, &keep);
+        if (!stream_status.ok()) return false;
+      }
+      stream_status = cursor.Next();
+      if (!stream_status.ok()) return false;
+      if (keep) {
+        emitted++;
+        return true;
+      }
+    }
+    return false;
   };
-  return MergeFromStream(picked, next, &iter_status);
-}
-
-Status LsmTree::MergeFromStream(
-    const std::vector<DiskComponentPtr>& picked,
-    const std::function<bool(OwnedEntry*)>& next,
-    const Status* stream_status) {
-  if (picked.empty()) return Status::OK();
-  const bool includes_oldest = IsOldestComponent(picked.back());
-  ComponentId id{picked.back()->id().min_ts, picked.front()->id().max_ts};
+  const ComponentId id{picked.back()->id().min_ts, picked.front()->id().max_ts};
   AUXLSM_ASSIGN_OR_RETURN(DiskComponentPtr merged, BuildComponent(id, next));
-  // A stream that stopped on an error must not install its truncated output;
-  // retiring it releases the file (and its cached pages) with the last ref.
-  if (stream_status != nullptr && !stream_status->ok()) {
-    merged->MarkRetired();
-    return *stream_status;
-  }
 
   // A merged component inherits the most conservative repair progress, and
   // the newest LSN any input carried: recovery replays the log from the
@@ -429,12 +409,14 @@ Status LsmTree::MergeFromStream(
     merged->set_range_filter(f);
   }
 
-  if (Status st = ReplaceComponents(picked, merged); !st.ok()) {
-    merged->MarkRetired();
-    return st;
-  }
-  if (merge_hook_) merge_hook_(picked, merged);
-  return Status::OK();
+  // A stream that stopped on an error must not install its truncated
+  // output; retiring it releases the file (and its cached pages) with the
+  // last reference, whichever step failed.
+  Status st = stream_status;
+  if (st.ok() && steps.before_install) st = steps.before_install(merged.get());
+  if (st.ok()) st = ReplaceComponents(picked, merged);
+  if (!st.ok()) merged->MarkRetired();
+  return st;
 }
 
 Status LsmTree::ReplaceComponents(
@@ -469,12 +451,6 @@ Status LsmTree::ReplaceComponents(
   // Fire outside components_mu_ so the hook may take its own locks freely.
   if (st.ok() && install_hook_) install_hook_();
   return st;
-}
-
-uint64_t LsmTree::TotalDiskBytes() const {
-  uint64_t total = 0;
-  for (const auto& c : Components()) total += c->size_bytes();
-  return total;
 }
 
 size_t LsmTree::NumDiskComponents() const {

@@ -71,6 +71,22 @@ struct GetOptions {
   bool search_memtable = true;
 };
 
+/// The steps in which the plain merge, the deleted-key merge (§4.1) and
+/// merge repair (§4.4, Fig 7) differ; an empty MergeSteps is the plain
+/// merge. Everything else — the component ID, dropping anti-matter only at
+/// the oldest component, filters, inherited repaired_ts and max_lsn, the
+/// install — is LsmTree::MergeComponents' alone.
+struct MergeSteps {
+  /// Runs on each reconciled entry before the cursor moves past it;
+  /// `ordinal` is the position the entry takes in the output if kept.
+  /// Clearing *keep drops the entry; an error fails the merge.
+  std::function<Status(const OwnedEntry& e, uint64_t ordinal, bool* keep)>
+      entry;
+  /// Runs on the built, not yet installed component (its inherited
+  /// repaired_ts and max_lsn already set); an error fails the merge.
+  std::function<Status(DiskComponent* merged)> before_install;
+};
+
 class LsmTree {
  public:
   LsmTree(Env* env, LsmTreeOptions options);
@@ -114,7 +130,6 @@ class LsmTree {
 
   /// Total bytes across all memory components (flush-trigger input).
   size_t MemBytes() const;
-  bool MemEmpty() const;
   /// Minimum entry timestamp over non-empty memory components (0 if none).
   Timestamp MemMinTs() const;
   /// True if any non-empty memory component's range filter overlaps [lo, hi]
@@ -133,9 +148,6 @@ class LsmTree {
                 const GetOptions& opts = GetOptions()) const;
 
   // --- Flush & merge ----------------------------------------------------------
-  /// True if any memory component has entries to flush.
-  bool NeedsFlush() const { return !MemEmpty(); }
-
   /// Flushes every memory component (sealed then active) into disk
   /// components, inline. The serial path; callers quiesce writers.
   Status Flush();
@@ -161,36 +173,27 @@ class LsmTree {
 
   /// Installs a component built from `sealed`: prepends it to the component
   /// list, then retires the sealed memtable. The publish order (component
-  /// first) keeps every entry reachable by readers throughout.
-  Status InstallFlushed(const std::shared_ptr<Memtable>& sealed,
-                        DiskComponentPtr component);
+  /// first) keeps every entry reachable by readers throughout. Cannot fail:
+  /// a duplicate build (the memtable was already installed) is retired.
+  void InstallFlushed(const std::shared_ptr<Memtable>& sealed,
+                      DiskComponentPtr component);
 
   /// Consults the merge policy against the current component list; fills
   /// *picked with the chosen components (newest first) and returns true if a
-  /// merge is warranted. Callers (e.g. the maintenance engine) may then run
-  /// the merge themselves via MergeComponents / MergeFromStream.
+  /// merge is warranted. Callers then run it with MergeComponents.
   bool PickMergeCandidates(std::vector<DiskComponentPtr>* picked) const;
 
-  /// Merges the given components (which must be a contiguous, current run of
-  /// the newest-first list) into one replacement component.
-  Status MergeComponents(const std::vector<DiskComponentPtr>& picked);
-
-  /// Merges components [range.begin, range.end) of the newest-first list.
-  Status MergeComponentRange(const MergeRange& range);
+  /// The one merge routine: reconciles `picked` (a contiguous run of the
+  /// newest-first list, still current) into one component with ID (oldest
+  /// min_ts, newest max_ts), dropping anti-matter only when the run reaches
+  /// the oldest component, and installs it in their place by identity. The
+  /// output inherits the inputs' minimum repaired_ts and maximum max_lsn.
+  /// On any failure the output file is released and the list is unchanged.
+  Status MergeComponents(const std::vector<DiskComponentPtr>& picked,
+                         const MergeSteps& steps = MergeSteps());
 
   /// Merges all disk components into one.
   Status MergeAll();
-
-  /// Installs the result of a merge of `picked` whose reconciled entry
-  /// stream is supplied by `next` (ascending key order, exhausted -> false).
-  /// Applies the same repaired-ts / range-filter inheritance rules as
-  /// MergeComponents; used by the maintenance engine to stitch key-range
-  /// partitioned merges back into one component. If `stream_status` is given
-  /// it is checked after the stream ends, so a stream that stopped on an
-  /// error does not install truncated output.
-  Status MergeFromStream(const std::vector<DiskComponentPtr>& picked,
-                         const std::function<bool(OwnedEntry*)>& next,
-                         const Status* stream_status = nullptr);
 
   /// True if `c` is currently the oldest disk component (merges reaching it
   /// may drop anti-matter).
@@ -207,14 +210,6 @@ class LsmTree {
   Status ReplaceComponents(const std::vector<DiskComponentPtr>& old_components,
                            DiskComponentPtr replacement);
 
-  /// Builds a disk component from an entry stream (shared by flush, merge,
-  /// and repair). Entries must arrive in ascending key order via `next`,
-  /// which returns false when exhausted.
-  Result<DiskComponentPtr> BuildComponent(
-      ComponentId id,
-      const std::function<bool(OwnedEntry*)>& next);
-
-  uint64_t TotalDiskBytes() const;
   size_t NumDiskComponents() const;
 
   // --- Merge jobs (exec/maintenance.h) ---------------------------------------
@@ -233,12 +228,6 @@ class LsmTree {
     return merge_pending_jobs_.load(std::memory_order_acquire);
   }
 
-  /// Registers a hook invoked after every merge installs its new component;
-  /// used by the Dataset to trigger merge repair (§4.4).
-  using MergeHook = std::function<void(const std::vector<DiskComponentPtr>&,
-                                       const DiskComponentPtr&)>;
-  void set_merge_hook(MergeHook hook) { merge_hook_ = std::move(hook); }
-
   /// Registers a hook invoked (outside the tree's locks) after any change
   /// to the disk-component list — flush installs and merge/repair
   /// replacements alike. The Dataset uses it to fence the tuple cache's
@@ -249,6 +238,12 @@ class LsmTree {
 
  private:
   std::shared_ptr<Memtable> ActiveMem() const;
+
+  /// Builds a disk component from an entry stream (shared by flush and
+  /// merge). Entries must arrive in ascending key order via `next`, which
+  /// returns false when exhausted.
+  Result<DiskComponentPtr> BuildComponent(
+      ComponentId id, const std::function<bool(OwnedEntry*)>& next);
 
   Env* const env_;
   LsmTreeOptions options_;
@@ -274,7 +269,6 @@ class LsmTree {
 
   std::atomic<size_t> merge_pending_jobs_{0};
 
-  MergeHook merge_hook_;
   InstallHook install_hook_;
 };
 

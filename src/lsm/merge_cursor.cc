@@ -49,12 +49,10 @@ Status MergeCursor::FindNext() {
       valid_ = false;
       return Status::OK();
     }
-    if (!options_.upper_bound.empty()) {
-      const int cmp = iters_[winner].key().compare(Slice(options_.upper_bound));
-      if (cmp > 0 || (cmp == 0 && options_.upper_bound_exclusive)) {
-        valid_ = false;
-        return Status::OK();
-      }
+    if (!options_.upper_bound.empty() &&
+        iters_[winner].key().compare(Slice(options_.upper_bound)) > 0) {
+      valid_ = false;
+      return Status::OK();
     }
     const Slice win_key = iters_[winner].key();
     const bool visible = EntryVisible(winner);

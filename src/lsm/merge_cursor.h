@@ -27,12 +27,9 @@ class MergeCursor {
     /// Per-component bitmap overrides (e.g. Side-file snapshots); parallel
     /// to the components vector; null entries fall back to live bitmaps.
     std::vector<std::shared_ptr<Bitmap>> bitmap_overrides;
-    /// Key bounds; empty = unbounded. lower_bound is inclusive;
-    /// upper_bound is inclusive unless upper_bound_exclusive is set
-    /// (key-range merge partitions use [split[i-1], split[i]) ranges).
+    /// Inclusive key bounds; empty = unbounded.
     std::string lower_bound;
     std::string upper_bound;
-    bool upper_bound_exclusive = false;
   };
 
   /// components must be ordered newest first.

@@ -18,6 +18,7 @@
 
 #include "common/random.h"
 #include "core/dataset.h"
+#include "core/mutable_bitmap_build.h"
 
 namespace auxlsm {
 namespace {
@@ -612,6 +613,129 @@ TEST(FaultParityTest, ArmedInjectorThatNeverFiresChangesNothing) {
   EXPECT_GT(fault.site_stats(failpoints::kWalAppend).hits, 0u);
   EXPECT_GT(fault.site_stats(failpoints::kCacheTupleInsert).hits, 0u);
   EXPECT_GT(fault.site_stats(failpoints::kCacheTupleInvalidate).hits, 0u);
+}
+
+// --- Failed maintenance steps release what they built ----------------------
+// A flush or §5.3 pair build that fails must release every component it
+// built but did not install: none of its pages may stay in the page store or
+// the buffer cache.
+
+DatasetOptions ReleaseOpts(MaintenanceStrategy s, FaultInjector* fault) {
+  DatasetOptions o;
+  o.strategy = s;
+  o.mem_budget_bytes = 1 << 30;  // flush only when asked
+  o.maintenance_threads = 1;     // builds run in tree order
+  o.maintenance_retry_limit = 0;
+  o.fault_injector = fault;
+  return o;
+}
+
+void LoadRecords(Dataset* ds, uint64_t first, uint64_t n, uint64_t* time) {
+  for (uint64_t id = first; id < first + n; id++) {
+    ASSERT_TRUE(ds->Upsert(MakeTweet(id, id % kUserSpace, ++*time)).ok());
+  }
+}
+
+// Pages of every installed component, over all of the dataset's trees.
+uint64_t LivePages(Dataset* ds) {
+  std::vector<LsmTree*> trees = {ds->primary(), ds->primary_key_index()};
+  for (const auto& s : ds->secondaries()) {
+    trees.push_back(s->tree.get());
+    trees.push_back(s->deleted_keys.get());
+  }
+  uint64_t pages = 0;
+  for (LsmTree* t : trees) {
+    if (t == nullptr) continue;
+    for (const auto& c : t->Components()) pages += c->meta().num_pages;
+  }
+  return pages;
+}
+
+TEST(ReleaseOnFailureTest, FailedInstallReleasesEveryBuild) {
+  FaultInjector fault(3);
+  Env env(TestEnv(&fault));
+  Dataset ds(&env, ReleaseOpts(MaintenanceStrategy::kValidation, &fault));
+  uint64_t time = 0;
+  LoadRecords(&ds, 1, 300, &time);
+  const uint64_t pages = env.store()->TotalPages();
+  const size_t cached = env.cache()->size();
+  fault.Arm(failpoints::kInstall,
+            FaultSpec::ErrorNth(Status::IOError("install down"), 1));
+  ASSERT_FALSE(ds.FlushAll().ok());
+  EXPECT_EQ(env.store()->TotalPages(), pages);
+  EXPECT_EQ(env.cache()->size(), cached);
+  // The re-flush installs the still-sealed memtables; every page the store
+  // holds then belongs to an installed component.
+  fault.DisarmAll();
+  ASSERT_TRUE(ds.FlushAll().ok());
+  EXPECT_GT(LivePages(&ds), 0u);
+  EXPECT_EQ(env.store()->TotalPages(), LivePages(&ds));
+  EXPECT_EQ(ds.num_records(), 300u);
+}
+
+TEST(ReleaseOnFailureTest, FailedBuildReleasesTheOtherTreesBuilds) {
+  FaultInjector fault(3);
+  Env env(TestEnv(&fault));
+  Dataset ds(&env, ReleaseOpts(MaintenanceStrategy::kValidation, &fault));
+  uint64_t time = 0;
+  LoadRecords(&ds, 1, 300, &time);
+  ASSERT_TRUE(ds.FlushAll().ok());
+  LoadRecords(&ds, 301, 300, &time);
+  const uint64_t pages = env.store()->TotalPages();
+  const size_t cached = env.cache()->size();
+  // Builds run primary, pk index, user_id: the third build fails after the
+  // first two finished.
+  fault.Arm(failpoints::kFlushBuild,
+            FaultSpec::ErrorNth(Status::IOError("build down"), 3));
+  ASSERT_FALSE(ds.FlushAll().ok());
+  EXPECT_EQ(fault.site_stats(failpoints::kFlushBuild).hits, 3u);
+  EXPECT_EQ(env.store()->TotalPages(), pages);
+  EXPECT_EQ(env.cache()->size(), cached);
+  fault.DisarmAll();
+  ASSERT_TRUE(ds.FlushAll().ok());
+  EXPECT_EQ(env.store()->TotalPages(), LivePages(&ds));
+  EXPECT_EQ(ds.num_records(), 600u);
+}
+
+// The §5.3 pair build finishes the primary output before the pk output: a
+// write that fails anywhere — in either builder's pages or its Finish —
+// must release both.
+TEST(ReleaseOnFailureTest, FailedPairBuildReleasesBothOutputs) {
+  FaultInjector fault(3);
+  Env env(TestEnv(&fault));
+  Dataset ds(&env, ReleaseOpts(MaintenanceStrategy::kMutableBitmap, &fault));
+  uint64_t time = 0;
+  for (uint64_t c = 0; c < 2; c++) {
+    LoadRecords(&ds, 1 + c * 300, 300, &time);
+    ASSERT_TRUE(ds.FlushAll().ok());
+  }
+  auto primary = ds.primary()->Components();
+  auto pk = ds.primary_key_index()->Components();
+  const uint64_t pages = env.store()->TotalPages();
+  const size_t cached = env.cache()->size();
+  uint64_t failures = 0;
+  Status st;
+  for (uint64_t nth = 1; nth <= 1000; nth++) {
+    fault.Arm(failpoints::kEnvAppendPage,
+              FaultSpec::ErrorNth(Status::IOError("write down"), nth));
+    ConcurrentMergeStats stats;
+    st = ConcurrentMerge(&ds, 0, 2, BuildCcMethod::kNone, &stats);
+    fault.DisarmAll();
+    if (st.ok()) break;
+    failures++;
+    ASSERT_EQ(ds.primary()->Components(), primary) << "nth " << nth;
+    ASSERT_EQ(ds.primary_key_index()->Components(), pk) << "nth " << nth;
+    ASSERT_EQ(env.store()->TotalPages(), pages) << "nth " << nth;
+    ASSERT_EQ(env.cache()->size(), cached) << "nth " << nth;
+  }
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_GT(failures, 0u);
+  EXPECT_EQ(ds.primary()->NumDiskComponents(), 1u);
+  // Drop the test's references to the merged inputs so their files go too.
+  primary.clear();
+  pk.clear();
+  EXPECT_EQ(env.store()->TotalPages(), LivePages(&ds));
+  EXPECT_EQ(ds.num_records(), 600u);
 }
 
 }  // namespace

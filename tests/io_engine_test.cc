@@ -284,9 +284,10 @@ TEST(WalGroupCommitTest, PerCommitLatencyIsReportedInModeledTime) {
 TEST(IoEngineDatasetTest, NvmeQueuesShortenSimulatedMaintenanceTime) {
   // End-to-end acceptance property (the fig15-mq section): the same upsert
   // workload on the same NVMe cost parameters, once with 1 queue and once
-  // with 4 queues + 4 maintenance threads (partitioned merges). The 4-queue
-  // run's completed simulated time — the device's critical path — must land
-  // strictly below the single-queue simulated total.
+  // with 4 queues + 4 maintenance threads (flushes and per-tree merges fan
+  // out over the queues). The 4-queue run's completed simulated time — the
+  // device's critical path — must land strictly below the single-queue
+  // simulated total.
   auto run = [](uint32_t queues) {
     EnvOptions eo;
     eo.page_size = 4096;
@@ -299,7 +300,6 @@ TEST(IoEngineDatasetTest, NvmeQueuesShortenSimulatedMaintenanceTime) {
     o.mem_budget_bytes = 512u << 10;
     o.max_mergeable_bytes = 8u << 20;
     o.maintenance_threads = 4;
-    o.merge_partition_min_bytes = 512u << 10;
     Dataset ds(&env, o);
     TweetGenerator gen;
     Random rng(11);

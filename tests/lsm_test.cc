@@ -221,7 +221,8 @@ TEST(LsmTreeTest, PartialMergeKeepsAntimatter) {
   ASSERT_TRUE(tree.Flush().ok());
   // Merge only the two newest components: anti-matter must survive to keep
   // shadowing the oldest component's entry.
-  ASSERT_TRUE(tree.MergeComponentRange(MergeRange{0, 2}).ok());
+  const auto comps = tree.Components();
+  ASSERT_TRUE(tree.MergeComponents({comps[0], comps[1]}).ok());
   OwnedEntry e;
   EXPECT_TRUE(tree.Get(EncodeU64(1), &e).IsNotFound());
 }
@@ -320,31 +321,6 @@ TEST(LsmTreeTest, RetiredComponentFilesDeleted) {
   ASSERT_TRUE(env.store()->FileExists(old_file));
   ASSERT_TRUE(tree.MergeAll().ok());
   EXPECT_FALSE(env.store()->FileExists(old_file));
-}
-
-// A merge whose input stream fails part-way (an injected read fault) must
-// not leave its truncated output behind, in the page store or the cache.
-TEST(LsmTreeTest, FailedMergeReleasesItsOutput) {
-  FaultInjector fault(1);
-  EnvOptions eo = TestEnv();
-  eo.fault_injector = &fault;
-  Env env(eo);
-  LsmTree tree(&env, TreeOpts());
-  for (uint64_t c = 0; c < 2; c++) {
-    for (uint64_t i = 0; i < 400; i++) {
-      tree.Put(EncodeU64(i * 2 + c), std::string(40, 'v'), c * 1000 + i + 1);
-    }
-    ASSERT_TRUE(tree.Flush().ok());
-  }
-  const uint64_t pages_before = env.store()->TotalPages();
-  const size_t cached_before = env.cache()->size();
-  fault.Arm(failpoints::kEnvReadPage,
-            FaultSpec::ErrorNth(Status::IOError("injected"), 20));
-  EXPECT_TRUE(tree.MergeAll().IsIOError());
-  EXPECT_EQ(fault.site_stats(failpoints::kEnvReadPage).fires, 1u);
-  EXPECT_EQ(tree.NumDiskComponents(), 2u);
-  EXPECT_EQ(env.store()->TotalPages(), pages_before);
-  EXPECT_EQ(env.cache()->size(), cached_before);
 }
 
 TEST(LsmTreeTest, RangeFilterFromMemFilterOnFlush) {

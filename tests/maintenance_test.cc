@@ -1,7 +1,7 @@
 // Maintenance engine (exec/maintenance.h): the parallel flush/merge pipeline
 // must produce datasets indistinguishable from the serial engine, stay
-// correct under concurrent readers, and partitioned merges must emit exactly
-// the entries a whole-range merge emits.
+// correct under concurrent readers, and nested fan-out must not deadlock
+// the pool.
 #include "exec/maintenance.h"
 
 #include <gtest/gtest.h>
@@ -44,7 +44,6 @@ DatasetOptions BaseOptions(MaintenanceStrategy strategy, size_t threads) {
   o.mem_budget_bytes = 64 << 10;  // frequent automatic flushes and merges
   o.max_mergeable_bytes = 4 << 20;
   o.maintenance_threads = threads;
-  o.merge_partition_min_bytes = 1;  // exercise partitioned merges eagerly
   return o;
 }
 
@@ -250,67 +249,6 @@ TEST(MaintenanceStressTest, LookupsDuringConcurrentFlushAndMerge) {
   }
 }
 
-TEST(PartitionedMergeTest, MatchesWholeRangeMerge) {
-  // Build two identical trees with overlapping components (including
-  // anti-matter and duplicate keys), merge one serially and one through the
-  // scheduler's key-range partitioning, and compare every surviving entry.
-  auto build = [](Env* env) {
-    auto tree = std::make_unique<LsmTree>(env, LsmTreeOptions());
-    uint64_t ts = 0;
-    for (int c = 0; c < 4; c++) {
-      for (uint64_t i = 0; i < 3000; i++) {
-        const uint64_t key = i * 4 + c;  // interleaved key ranges
-        tree->Put(EncodeU64(key), "v" + std::to_string(key * 10 + c), ++ts);
-      }
-      // Overlap: rewrite a stripe of earlier keys, delete some others.
-      for (uint64_t i = 0; i < 300; i++) {
-        tree->Put(EncodeU64(i * 7), "upd" + std::to_string(c), ++ts);
-        tree->PutAntimatter(EncodeU64(i * 11 + 1), ++ts);
-      }
-      EXPECT_TRUE(tree->Flush().ok());
-    }
-    return tree;
-  };
-
-  Env env_serial(TestEnv()), env_part(TestEnv(/*cache_shards=*/8));
-  auto serial_tree = build(&env_serial);
-  auto part_tree = build(&env_part);
-
-  ASSERT_TRUE(serial_tree->MergeAll().ok());
-
-  MaintenanceOptions mo;
-  mo.threads = 4;
-  mo.merge_partitions = 5;
-  mo.partition_min_bytes = 1;
-  MaintenanceScheduler scheduler(mo);
-  ASSERT_TRUE(scheduler.parallel());
-  ASSERT_TRUE(
-      scheduler.MergeComponents(part_tree.get(), part_tree->Components())
-          .ok());
-
-  ASSERT_EQ(serial_tree->NumDiskComponents(), 1u);
-  ASSERT_EQ(part_tree->NumDiskComponents(), 1u);
-  const auto sc = serial_tree->Components().front();
-  const auto pc = part_tree->Components().front();
-  EXPECT_EQ(pc->num_entries(), sc->num_entries());
-  EXPECT_EQ(pc->id().min_ts, sc->id().min_ts);
-  EXPECT_EQ(pc->id().max_ts, sc->id().max_ts);
-
-  auto si = sc->tree().NewIterator(32);
-  auto pi = pc->tree().NewIterator(32);
-  ASSERT_TRUE(si.SeekToFirst().ok());
-  ASSERT_TRUE(pi.SeekToFirst().ok());
-  while (si.Valid() && pi.Valid()) {
-    EXPECT_EQ(pi.key().ToString(), si.key().ToString());
-    EXPECT_EQ(pi.value().ToString(), si.value().ToString());
-    EXPECT_EQ(pi.ts(), si.ts());
-    EXPECT_EQ(pi.antimatter(), si.antimatter());
-    ASSERT_TRUE(si.Next().ok());
-    ASSERT_TRUE(pi.Next().ok());
-  }
-  EXPECT_EQ(si.Valid(), pi.Valid());
-}
-
 TEST(MaintenanceSchedulerTest, SerialSchedulerRunsInline) {
   MaintenanceOptions mo;
   mo.threads = 1;
@@ -328,11 +266,11 @@ TEST(MaintenanceSchedulerTest, SerialSchedulerRunsInline) {
 }
 
 TEST(MaintenanceSchedulerTest, NestedFanOutDoesNotDeadlock) {
-  // Tasks that themselves run partitioned merges saturate the pool; the
-  // helping wait must keep making progress with more tasks than workers.
+  // Tasks that themselves fan out on RunAll (as a correlated merge job runs
+  // its secondary phase) saturate the pool; the helping wait must keep
+  // making progress with more tasks than workers.
   MaintenanceOptions mo;
   mo.threads = 2;
-  mo.partition_min_bytes = 1;
   MaintenanceScheduler scheduler(mo);
   Env env(TestEnv(/*cache_shards=*/4));
   std::vector<std::unique_ptr<LsmTree>> trees;
@@ -348,10 +286,15 @@ TEST(MaintenanceSchedulerTest, NestedFanOutDoesNotDeadlock) {
     trees.push_back(std::move(tree));
   }
   std::vector<std::function<Status()>> tasks;
-  for (auto& tree : trees) {
-    LsmTree* t = tree.get();
-    tasks.push_back([&scheduler, t]() {
-      return scheduler.MergeComponents(t, t->Components());
+  for (size_t i = 0; i < trees.size(); i += 2) {
+    LsmTree* a = trees[i].get();
+    LsmTree* b = trees[i + 1].get();
+    tasks.push_back([&scheduler, a, b]() {
+      std::vector<std::function<Status()>> inner;
+      for (LsmTree* t : {a, b}) {
+        inner.push_back([t]() { return t->MergeComponents(t->Components()); });
+      }
+      return scheduler.RunAll(std::move(inner));
     });
   }
   ASSERT_TRUE(scheduler.RunAll(std::move(tasks)).ok());

@@ -1,12 +1,14 @@
 // Index repair tests (§4.4 / §6.5): merge repair, standalone repair, the
-#include "core/deleted_key.h"
 // repairedTS pruning bookkeeping, the Bloom-filter optimization, DELI-style
 // primary repair, and deleted-key merges.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <set>
 
 #include "core/dataset.h"
+#include "core/deleted_key.h"
 #include "format/key_codec.h"
 
 namespace auxlsm {
@@ -262,8 +264,10 @@ TEST(DeletedKeyTest, MergeDropsEntriesInvalidatedByDeletedKeys) {
   }
   ASSERT_TRUE(ds.FlushAll().ok());
   // Force a deleted-key-validating merge of both secondary components.
-  ASSERT_TRUE(
-      RunDeletedKeyMerge(&ds, ds.secondary(0), MergeRange{0, 2}).ok());
+  SecondaryIndex* index = ds.secondary(0);
+  ASSERT_TRUE(RunDeletedKeyMergePicked(&ds, index, index->tree->Components(),
+                                       index->deleted_keys->Components())
+                  .ok());
   EXPECT_EQ(ds.secondary(0)->tree->NumDiskComponents(), 1u);
   // 25 old entries invalidated; 25 + 50 remain... the 25 updated entries'
   // old versions are dropped: 50 originals - 25 dropped + 25 new = 50.
@@ -274,6 +278,144 @@ TEST(DeletedKeyTest, MergeDropsEntriesInvalidatedByDeletedKeys) {
   ASSERT_TRUE(ds.QueryUserRange(1, 1, q, &res).ok());
   EXPECT_EQ(res.records.size(), 25u);
 }
+
+// --- Merge rules shared by every merge -------------------------------------
+// The plain merge, merge repair (§4.4) and the deleted-key merge (§4.1)
+// differ only in a per-entry step; LsmTree::MergeComponents applies the
+// rest to all three: the merged ID spans the inputs, max_lsn is the inputs'
+// maximum, anti-matter survives unless the merge reaches the oldest
+// component, and a failed merge leaves nothing behind.
+enum class MergeKind { kPlain, kRepair, kDeletedKey };
+
+class MergeRulesTest : public ::testing::TestWithParam<MergeKind> {
+ protected:
+  void SetUp() override {
+    EnvOptions eo = TestEnv();
+    eo.fault_injector = &fault_;
+    env_ = std::make_unique<Env>(eo);
+    DatasetOptions o;
+    o.strategy = GetParam() == MergeKind::kDeletedKey
+                     ? MaintenanceStrategy::kDeletedKeyBtree
+                     : MaintenanceStrategy::kValidation;
+    o.mem_budget_bytes = 1 << 30;
+    ds_ = std::make_unique<Dataset>(env_.get(), o);
+    // Three secondary components; the newer two rewrite some records of the
+    // oldest, and the middle one carries anti-matter for one of its keys.
+    uint64_t time = 0;
+    for (uint64_t c = 0; c < 3; c++) {
+      for (uint64_t i = 1; i <= 300; i++) {
+        ASSERT_TRUE(ds_->Upsert(MakeTweet(c * 1000 + i, i % 7, ++time)).ok());
+      }
+      for (uint64_t i = 1; c > 0 && i <= 40; i++) {
+        ASSERT_TRUE(ds_->Upsert(MakeTweet(i, 7 + c, ++time)).ok());
+      }
+      if (c == 1) {
+        auto it = index()->tree->Components().back()->tree().NewIterator();
+        ASSERT_TRUE(it.SeekToFirst().ok());
+        ASSERT_TRUE(it.Valid());
+        index()->tree->PutAntimatter(it.key(), ds_->clock()->Tick());
+      }
+      ASSERT_TRUE(ds_->FlushAll().ok());
+    }
+    ASSERT_EQ(index()->tree->NumDiskComponents(), 3u);
+  }
+
+  SecondaryIndex* index() { return ds_->secondary(0); }
+
+  Status Merge(const std::vector<DiskComponentPtr>& picked) {
+    switch (GetParam()) {
+      case MergeKind::kPlain:
+        return index()->tree->MergeComponents(picked);
+      case MergeKind::kRepair:
+        return RunMergeRepair(ds_.get(), index(), picked);
+      case MergeKind::kDeletedKey:
+        return RunDeletedKeyMergePicked(ds_.get(), index(), picked, {});
+    }
+    return Status::InvalidArgument("unknown merge kind");
+  }
+
+  // Merges `picked`, a run starting at the newest component, and checks
+  // the output's ID and max_lsn; returns the anti-matter entries it kept.
+  uint64_t MergeAndCountAntimatter(
+      const std::vector<DiskComponentPtr>& picked) {
+    uint64_t max_lsn = 0;
+    for (const auto& c : picked) max_lsn = std::max(max_lsn, c->max_lsn());
+    EXPECT_GT(max_lsn, 0u);
+    EXPECT_TRUE(Merge(picked).ok());
+    const DiskComponentPtr merged = index()->tree->Components().front();
+    EXPECT_NE(merged, picked.front());
+    EXPECT_EQ(merged->id().min_ts, picked.back()->id().min_ts);
+    EXPECT_EQ(merged->id().max_ts, picked.front()->id().max_ts);
+    EXPECT_EQ(merged->max_lsn(), max_lsn);
+    uint64_t antimatter = 0;
+    auto it = merged->tree().NewIterator();
+    EXPECT_TRUE(it.SeekToFirst().ok());
+    while (it.Valid()) {
+      if (it.antimatter()) antimatter++;
+      EXPECT_TRUE(it.Next().ok());
+    }
+    return antimatter;
+  }
+
+  FaultInjector fault_{7};
+  std::unique_ptr<Env> env_;
+  std::unique_ptr<Dataset> ds_;
+};
+
+TEST_P(MergeRulesTest, PartialMergeKeepsAntimatter) {
+  const auto comps = index()->tree->Components();
+  EXPECT_EQ(MergeAndCountAntimatter({comps[0], comps[1]}), 1u);
+  EXPECT_EQ(index()->tree->NumDiskComponents(), 2u);
+}
+
+TEST_P(MergeRulesTest, MergeReachingTheOldestDropsAntimatter) {
+  EXPECT_EQ(MergeAndCountAntimatter(index()->tree->Components()), 0u);
+  EXPECT_EQ(index()->tree->NumDiskComponents(), 1u);
+}
+
+// A read that fails anywhere in the merge — mid-stream, or in merge
+// repair's validation reads — must not leave the output behind, in the page
+// store or the buffer cache, and must leave the component list unchanged.
+TEST_P(MergeRulesTest, FailedMergeReleasesItsOutput) {
+  const auto picked = index()->tree->Components();
+  const uint64_t pages = env_->store()->TotalPages();
+  const size_t cached = env_->cache()->size();
+  uint64_t failures = 0;
+  // Every read early on, then sparser (deleted-key merges probe the
+  // deleted-key tree per entry, so they read thousands of pages).
+  for (uint64_t nth = 1; nth <= 100000; nth += 1 + nth / 16) {
+    fault_.Arm(failpoints::kEnvReadPage,
+               FaultSpec::ErrorNth(Status::IOError("injected"), nth));
+    const Status st = Merge(picked);
+    fault_.DisarmAll();
+    if (st.ok()) break;
+    failures++;
+    ASSERT_TRUE(st.IsIOError()) << st.ToString();
+    ASSERT_EQ(index()->tree->Components(), picked) << "nth " << nth;
+    ASSERT_EQ(env_->store()->TotalPages(), pages) << "nth " << nth;
+    ASSERT_EQ(env_->cache()->size(), cached) << "nth " << nth;
+  }
+  // The merge read enough pages for failures part-way through the stream,
+  // then succeeded once the fault came after its last read.
+  EXPECT_GE(failures, 10u);
+  EXPECT_EQ(index()->tree->NumDiskComponents(), 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kinds, MergeRulesTest,
+    ::testing::Values(MergeKind::kPlain, MergeKind::kRepair,
+                      MergeKind::kDeletedKey),
+    [](const auto& info) -> std::string {
+      switch (info.param) {
+        case MergeKind::kPlain:
+          return "Plain";
+        case MergeKind::kRepair:
+          return "MergeRepair";
+        case MergeKind::kDeletedKey:
+          return "DeletedKey";
+      }
+      return "Unknown";
+    });
 
 }  // namespace
 }  // namespace auxlsm
