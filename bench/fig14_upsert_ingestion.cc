@@ -43,6 +43,9 @@ void RunCase(const StrategyCase& sc, double update_ratio,
                 (unsigned long long)ds.ingest_stats().flushes,
                 (unsigned long long)ds.ingest_stats().merges);
   PrintRow(sc.name, dist_name, total, extra);
+  // Every row is serial (one writer, one maintenance thread, one queue).
+  PrintDigest(std::string("fig14-") + sc.name + "-" + dist_name,
+              sw.IoSeconds() * 1e6, sw.CriticalPathSeconds() * 1e6);
 }
 
 }  // namespace

@@ -11,7 +11,10 @@ namespace {
 
 constexpr uint64_t kRecords = 40000;
 
-double RunScan(QueryFixture& f, uint64_t lo, uint64_t hi, ScanResult* out) {
+// Mean seconds per run; adds the runs' modeled and critical-path
+// microseconds to *sim_us and *crit_us.
+double RunScan(QueryFixture& f, uint64_t lo, uint64_t hi, ScanResult* out,
+               double* sim_us, double* crit_us) {
   // Cold cache per run, as in the paper (5 runs with clean cache).
   double total = 0;
   const int runs = 3;
@@ -20,12 +23,14 @@ double RunScan(QueryFixture& f, uint64_t lo, uint64_t hi, ScanResult* out) {
     Stopwatch sw(f.env.get());
     if (!f.ds->ScanTimeRange(lo, hi, out).ok()) std::abort();
     total += sw.Seconds();
+    *sim_us += sw.IoSeconds() * 1e6;
+    *crit_us += sw.CriticalPathSeconds() * 1e6;
   }
   return total / runs;
 }
 
 void Sweep(const char* series, QueryFixture& f, bool recent,
-           uint64_t time_max, const char* suffix) {
+           uint64_t time_max, const char* suffix, const std::string& digest) {
   // "Days" scaled to fractions of the creation_time domain (2 years in the
   // paper; our domain is [1, time_max]).
   const double fractions[] = {1.0 / 730, 7.0 / 730, 30.0 / 730, 180.0 / 730,
@@ -35,19 +40,22 @@ void Sweep(const char* series, QueryFixture& f, bool recent,
     const auto width = uint64_t(fractions[i] * double(time_max)) + 1;
     ScanResult res;
     double t;
+    double sim_us = 0, crit_us = 0;
     if (recent) {
-      t = RunScan(f, time_max - width, time_max, &res);
+      t = RunScan(f, time_max - width, time_max, &res, &sim_us, &crit_us);
     } else {
-      t = RunScan(f, 1, width, &res);
+      t = RunScan(f, 1, width, &res, &sim_us, &crit_us);
     }
     char extra[96];
     std::snprintf(extra, sizeof(extra), "scanned=%llu pruned=%llu",
                   (unsigned long long)res.components_scanned,
                   (unsigned long long)res.components_pruned);
     PrintRow(series, std::string(labels[i]) + suffix, t, extra);
+    PrintDigest(digest + "-" + series + "-" + labels[i], sim_us, crit_us);
   }
 }
 
+// Every row is serial: one writer, one maintenance thread, one queue.
 void RunGroup(const char* title, bool recent, double upd) {
   using auxlsm::MaintenanceStrategy;
   PrintHeader("Fig19", title);
@@ -59,9 +67,12 @@ void RunGroup(const char* title, bool recent, double upd) {
   auto mb = BuildQueryFixture(MaintenanceStrategy::kMutableBitmap, false, upd,
                               kRecords, 8);
   const uint64_t tmax = kRecords + uint64_t(upd * kRecords);
-  Sweep("eager", eager, recent, tmax, suffix);
-  Sweep("validation", val, recent, tmax, suffix);
-  Sweep("mutable-bitmap", mb, recent, tmax, suffix);
+  const std::string digest = std::string("fig19-") +
+                             (recent ? "recent" : "old") + "-u" +
+                             std::to_string(int(upd * 100));
+  Sweep("eager", eager, recent, tmax, suffix, digest);
+  Sweep("validation", val, recent, tmax, suffix, digest);
+  Sweep("mutable-bitmap", mb, recent, tmax, suffix, digest);
 }
 
 }  // namespace

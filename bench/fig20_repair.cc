@@ -14,6 +14,7 @@ int main() {
          {RepairMethod::kPrimary, RepairMethod::kPrimaryMerge,
           RepairMethod::kSecondary, RepairMethod::kSecondaryBloom}) {
       RepairBenchConfig cfg;
+      cfg.digest = "fig20-u" + std::to_string(int(upd * 100));
       cfg.increment = 10000;
       cfg.steps = 5;
       cfg.update_ratio = upd;

@@ -10,6 +10,7 @@ int main() {
   for (RepairMethod m : {RepairMethod::kPrimary, RepairMethod::kSecondary,
                          RepairMethod::kSecondaryBloom}) {
     RepairBenchConfig cfg;
+    cfg.digest = "fig22";
     cfg.increment = 8000;
     cfg.steps = 5;
     cfg.update_ratio = 0.1;

@@ -78,8 +78,13 @@ double RunCase(BuildCcMethod method, const CaseConfig& cfg) {
   }
 
   ConcurrentMergeStats stats;
-  const size_t n = ds.primary()->NumDiskComponents();
-  if (!ConcurrentMerge(&ds, n - 4, n, method, &stats).ok()) std::abort();
+  const auto p = ds.primary()->Components();
+  const auto k = ds.primary_key_index()->Components();
+  if (!ConcurrentMerge(&ds, {p.end() - 4, p.end()}, {k.end() - 4, k.end()},
+                       method, &stats)
+           .ok()) {
+    std::abort();
+  }
   stop.store(true);
   for (auto& w : writers) w.join();
   return stats.elapsed_seconds;

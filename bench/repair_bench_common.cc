@@ -39,6 +39,7 @@ void RunRepairBench(RepairMethod method, const RepairBenchConfig& cfg) {
     if (!ds.FlushAll().ok()) std::abort();
 
     Stopwatch sw(&env);
+    bool threaded = false;
     switch (method) {
       case RepairMethod::kPrimary:
         if (!ds.PrimaryRepair(false).ok()) std::abort();
@@ -49,6 +50,7 @@ void RunRepairBench(RepairMethod method, const RepairBenchConfig& cfg) {
       case RepairMethod::kSecondary:
       case RepairMethod::kSecondaryBloom:
         if (cfg.parallel_repair && cfg.num_secondaries > 1) {
+          threaded = true;
           std::vector<std::thread> threads;
           for (size_t i = 0; i < cfg.num_secondaries; i++) {
             threads.emplace_back([&ds, i]() {
@@ -64,8 +66,13 @@ void RunRepairBench(RepairMethod method, const RepairBenchConfig& cfg) {
         break;
     }
     const double t = sw.Seconds();
-    PrintRow(RepairMethodName(method),
-             std::to_string(step * cfg.increment / 1000) + "K", t);
+    const std::string x = std::to_string(step * cfg.increment / 1000) + "K";
+    PrintRow(RepairMethodName(method), x, t);
+    // Threaded repairs interleave their I/O; every other row is serial.
+    if (!threaded) {
+      PrintDigest(cfg.digest + "-" + RepairMethodSlug(method) + "-" + x,
+                  sw.IoSeconds() * 1e6, sw.CriticalPathSeconds() * 1e6);
+    }
   }
 }
 

@@ -4,6 +4,8 @@
 // data accumulates.
 #pragma once
 
+#include <string>
+
 #include "bench_util.h"
 
 namespace auxlsm {
@@ -26,7 +28,19 @@ inline const char* RepairMethodName(RepairMethod m) {
   return "?";
 }
 
+/// The method's name in DIGEST lines.
+inline const char* RepairMethodSlug(RepairMethod m) {
+  switch (m) {
+    case RepairMethod::kPrimary: return "primary";
+    case RepairMethod::kPrimaryMerge: return "primary-merge";
+    case RepairMethod::kSecondary: return "secondary";
+    case RepairMethod::kSecondaryBloom: return "secondary-bf";
+  }
+  return "?";
+}
+
 struct RepairBenchConfig {
+  std::string digest = "repair";  ///< DIGEST line prefix, e.g. "fig20-u0"
   uint64_t increment = 10000;     ///< records per ingestion step
   int steps = 5;                  ///< number of repair measurements
   double update_ratio = 0.0;
@@ -35,7 +49,8 @@ struct RepairBenchConfig {
   bool parallel_repair = false;   ///< repair secondary indexes in threads
 };
 
-/// Runs the incremental ingest-then-repair loop and prints one row per step.
+/// Runs the incremental ingest-then-repair loop and prints one row per step,
+/// with a DIGEST line for each serial repair.
 void RunRepairBench(RepairMethod method, const RepairBenchConfig& cfg);
 
 }  // namespace bench

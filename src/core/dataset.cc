@@ -1,6 +1,7 @@
 #include "core/dataset.h"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 
 #include "common/hash.h"
@@ -501,6 +502,21 @@ Result<bool> Dataset::FlushMemtables(bool forced) {
   if (Status s = maintenance_->RunAll(std::move(builds)); !s.ok()) {
     return release_built(s);
   }
+  // The primary components this cycle flushed, oldest first: one per sealed
+  // memtable (more than one when a failed cycle left its memtables pending).
+  // Under Mutable-bitmap each pk-index build shares the validity bitmap of
+  // its primary twin, the one built from the memtable sealed with it (§5.1)
+  // — before install, since set_bitmap is not synchronized against readers.
+  const bool mb = options_.strategy == MaintenanceStrategy::kMutableBitmap;
+  std::vector<DiskComponentPtr> flushed_primary, flushed_pk;
+  for (size_t i = 0; i < sealed.size(); i++) {
+    if (sealed[i].first == primary_.get()) flushed_primary.push_back(built[i]);
+    if (sealed[i].first == pk_index_.get()) flushed_pk.push_back(built[i]);
+  }
+  for (size_t i = 0; mb && i < flushed_pk.size() && i < flushed_primary.size();
+       i++) {
+    flushed_pk[i]->set_bitmap(flushed_primary[i]->bitmap());
+  }
 
   // Install under the latch: all trees' components appear atomically w.r.t.
   // ingestion, preserving the positional alignment that correlated merges
@@ -523,19 +539,7 @@ Result<bool> Dataset::FlushMemtables(bool forced) {
       sealed[i].first->InstallFlushed(sealed[i].second, built[i]);
       built[i]->set_max_lsn(flush_lsn);
     }
-    if (options_.strategy == MaintenanceStrategy::kMutableBitmap) {
-      // The primary and primary key index share one validity bitmap per
-      // component (§5.1).
-      if (pk_index_) {
-        auto pcomps = primary_->Components();
-        auto kcomps = pk_index_->Components();
-        if (!pcomps.empty() && !kcomps.empty() &&
-            kcomps.front()->bitmap() == nullptr) {
-          kcomps.front()->set_bitmap(pcomps.front()->bitmap());
-        }
-      }
-      AUXLSM_RETURN_NOT_OK(FixupFlushedBitmap());
-    }
+    if (mb) AUXLSM_RETURN_NOT_OK(FixupFlushedBitmap(flushed_primary));
     stats_.flushes++;
   }
   return true;
@@ -648,17 +652,20 @@ void Dataset::RecordBitmapFixup(const std::string& pk, Timestamp ts) {
   pending_bitmap_fixups_.emplace_back(pk, ts);
 }
 
-Status Dataset::FixupFlushedBitmap() {
+Status Dataset::FixupFlushedBitmap(
+    const std::vector<DiskComponentPtr>& flushed) {
   ingest_mu_.AssertHeld();
   // Deletes/upserts whose old version sat in a *sealed* memtable left only
-  // anti-matter (or a newer version) in the active memtable; the flushed
+  // anti-matter (or a newer version) in a newer memtable; the flushed
   // component carries the old version as valid. Mark those entries invalid,
   // exactly as MutableBitmapUpsert would have had the component existed —
-  // otherwise the §5 no-reconciliation scans would resurrect them.
+  // otherwise the §5 no-reconciliation scans would resurrect them. A cycle
+  // re-flushing the memtables of a failed one installs several components,
+  // and the old version may sit in any of them, so each is probed.
   //
   // The superseding writes were recorded as they happened (the write found
   // its old version in a sealed memtable — precisely the entries the flushed
-  // component now carries as valid), so only they pay a B-tree probe here,
+  // components now carry as valid), so only they pay a B-tree probe here,
   // not every entry of the active memtable. Keys whose old version was on
   // disk had their bit flipped directly at write time, and fresh inserts
   // cannot supersede a live sealed entry (the uniqueness check rejects
@@ -668,33 +675,29 @@ Status Dataset::FixupFlushedBitmap() {
     MutexLock l(fixup_mu_);
     pending.swap(pending_bitmap_fixups_);
   }
-  if (pending.empty()) return Status::OK();
-  auto pcomps = primary_->Components();
-  if (pcomps.empty()) return Status::OK();
-  const DiskComponentPtr& front = pcomps.front();
-  if (front->bitmap() == nullptr) return Status::OK();
   for (size_t i = 0; i < pending.size(); i++) {
     const auto& [key, ts] = pending[i];
-    LeafEntry entry;
-    std::string backing;
-    uint64_t ordinal = 0;
-    Status st = front->tree().GetWithOrdinal(key, &entry, &backing,
-                                             &ordinal);
-    if (st.IsNotFound()) continue;
-    if (!st.ok()) {
-      // Re-stash the unprocessed marks (current one included — Set is
-      // idempotent): a retried cycle must not lose supersessions, or the §5
-      // scans would resurrect the dead entries.
-      MutexLock l(fixup_mu_);
-      pending_bitmap_fixups_.insert(pending_bitmap_fixups_.begin(),
-                                    pending.begin() + i, pending.end());
-      return st.WithContext("bitmap fixup");
-    }
-    if (!entry.antimatter && entry.ts < ts) {
-      front->bitmap()->Set(ordinal);
-      // The bit flip changed the visible outcome for this pk outside the
-      // write path's own invalidation window; cut the cache again.
-      if (tuple_cache_) tuple_cache_->InvalidatePk(key);
+    for (const DiskComponentPtr& c : flushed) {
+      LeafEntry entry;
+      std::string backing;
+      uint64_t ordinal = 0;
+      Status st = c->tree().GetWithOrdinal(key, &entry, &backing, &ordinal);
+      if (st.IsNotFound()) continue;
+      if (!st.ok()) {
+        // Re-stash the unprocessed marks (current one included — Set is
+        // idempotent): a retried cycle must not lose supersessions, or the
+        // §5 scans would resurrect the dead entries.
+        MutexLock l(fixup_mu_);
+        pending_bitmap_fixups_.insert(pending_bitmap_fixups_.begin(),
+                                      pending.begin() + i, pending.end());
+        return st.WithContext("bitmap fixup");
+      }
+      if (!entry.antimatter && entry.ts < ts) {
+        c->bitmap()->Set(ordinal);
+        // The bit flip changed the visible outcome for this pk outside the
+        // write path's own invalidation window; cut the cache again.
+        if (tuple_cache_) tuple_cache_->InvalidatePk(key);
+      }
     }
   }
   return Status::OK();
@@ -808,18 +811,13 @@ Status Dataset::CorrelatedMerge() {
       r = PickTieringRange(comps);
       if (r.empty() || r.count() < 2) break;
       // The anchor's pick slices straight off the snapshot the policy saw.
-      // The primary flushes and merges in lock step with it, so equal
-      // lengths are the positional alignment the pick relies on. A pk-index
-      // merge that failed for good after the primary's merge breaks it:
-      // fail with a permanent error (no job retry) rather than merge a
-      // wrong slice.
+      // The primary list is aligned with it: every flush installs both
+      // trees' components, and every pair merge replaces both runs or
+      // neither (Recover realigns a catalog that is not).
       if (pk_index_ != nullptr) {
         k_picked = SliceRange(comps, r);
         auto pcomps = primary_->Components();
-        if (pcomps.size() != comps.size()) {
-          return Status::InvalidArgument(
-              "primary/pk component lists out of sync");
-        }
+        assert(pcomps.size() == comps.size());
         p_picked = SliceRange(pcomps, r);
       } else {
         p_picked = SliceRange(comps, r);
@@ -850,61 +848,19 @@ Status Dataset::CorrelatedMerge() {
       });
     };
 
-    // Phase 1: primary and primary key index merge — their post-merge
-    // components must exist before the bitmap re-share and before secondary
-    // repair validates against them.
-    if (options_.strategy == MaintenanceStrategy::kMutableBitmap &&
-        multi_writer()) {
-      // Background merge concurrent with live writers: writers flip bits in
-      // the very components being merged, so the merge must run under a
-      // §5.3 concurrency-control method. ConcurrentMerge builds the
-      // primary + pk-index pair sharing one bitmap, so no re-share is
-      // needed. kNone has no writer coordination — stop the world instead
-      // (the Fig 23 baseline semantics).
-      ConcurrentMergeStats cstats;
-      if (options_.build_cc == BuildCcMethod::kNone) {
-        WriteLatchGuard latch(ingest_mu_);
-        AUXLSM_RETURN_NOT_OK(
-            RunWithRetry("merge(concurrent)", [&]() -> Status {
-              return ConcurrentMergePicked(this, p_picked, k_picked,
-                                           BuildCcMethod::kNone, &cstats,
-                                           /*dataset_latched=*/true);
-            }));
-      } else {
-        AUXLSM_RETURN_NOT_OK(
-            RunWithRetry("merge(concurrent)", [&]() -> Status {
-              return ConcurrentMergePicked(this, p_picked, k_picked,
-                                           options_.build_cc, &cstats);
-            }));
-      }
-    } else {
-      // The pk-index merges only once the primary's merge succeeded: a
-      // failed primary merge leaves both lists as they were, so a retried
-      // job re-picks the same aligned range.
-      auto merge_pair = [&]() -> Status {
-        AUXLSM_RETURN_NOT_OK(merge_picked(primary_.get(), p_picked));
-        if (pk_index_ == nullptr) return Status::OK();
-        return merge_picked(pk_index_.get(), k_picked);
-      };
-      if (options_.strategy == MaintenanceStrategy::kMutableBitmap) {
-        // One writer thread setting: writers flip bits in these inputs, so
-        // they are excluded for the merge. Then re-share the merged
-        // components' bitmap. Positional refetch is safe: installs only
-        // happen inside an admitted flush routine, and this merge runs
-        // inside the admitted cycle.
-        WriteLatchGuard latch(ingest_mu_);
-        AUXLSM_RETURN_NOT_OK(merge_pair());
-        if (pk_index_) {
-          auto pcomps = primary_->Components();
-          auto kcomps = pk_index_->Components();
-          if (r.begin < pcomps.size() && r.begin < kcomps.size()) {
-            kcomps[r.begin]->set_bitmap(pcomps[r.begin]->bitmap());
-          }
-        }
-      } else {
-        AUXLSM_RETURN_NOT_OK(merge_pair());
-      }
-    }
+    // Phase 1: the primary and primary key index merge as one pair — their
+    // outputs must exist before secondary repair validates against them. A
+    // failed attempt leaves both lists as they were, so a retry (of the
+    // attempt or of the whole job) re-picks the same aligned range. Under
+    // Mutable-bitmap, writers flip bits in the very components being
+    // merged: with more than one writer the merge runs under the §5.3
+    // method build_cc, and with one it stops the world (kNone).
+    AUXLSM_RETURN_NOT_OK(RunWithRetry("merge(primary)", [&]() -> Status {
+      AUXLSM_RETURN_NOT_OK(MergeFailpoint());
+      return ConcurrentMerge(
+          this, p_picked, k_picked,
+          multi_writer() ? options_.build_cc : BuildCcMethod::kNone);
+    }));
     // Phase 2: secondary indexes, one task per index.
     std::vector<std::function<Status()>> stasks;
     std::vector<uint64_t> srepairs(secondaries_.size(), 0);
@@ -942,20 +898,31 @@ Status Dataset::CorrelatedMerge() {
 
 Status Dataset::MergeAllIndexes() {
   AUXLSM_RETURN_NOT_OK(WaitForMaintenance());
-  AUXLSM_RETURN_NOT_OK(primary_->MergeAll());
-  if (pk_index_) AUXLSM_RETURN_NOT_OK(pk_index_->MergeAll());
-  if (options_.strategy == MaintenanceStrategy::kMutableBitmap && pk_index_) {
-    auto pcomps = primary_->Components();
-    auto kcomps = pk_index_->Components();
-    if (!pcomps.empty() && !kcomps.empty()) {
-      kcomps.front()->set_bitmap(pcomps.front()->bitmap());
-    }
-  }
+  AUXLSM_RETURN_NOT_OK(FullPairMerge());
   for (auto& s : secondaries_) {
     AUXLSM_RETURN_NOT_OK(s->tree->MergeAll());
     if (s->deleted_keys) AUXLSM_RETURN_NOT_OK(s->deleted_keys->MergeAll());
   }
   return Status::OK();
+}
+
+Status Dataset::FullPairMerge() {
+  // Both lists in one view, as in CorrelatedMerge's pick: a flush installed
+  // between two reads would misalign the runs, and the pk output would lose
+  // that flush's keys or sit behind its pk component.
+  std::vector<DiskComponentPtr> pcomps, kcomps;
+  {
+    ReadLatchGuard l(ingest_mu_);
+    pcomps = primary_->Components();
+    if (pk_index_) kcomps = pk_index_->Components();
+  }
+  // Nothing to merge: at most one primary component, beside its twin.
+  if (pcomps.size() < 2 && (!pk_index_ || kcomps.size() == pcomps.size())) {
+    return Status::OK();
+  }
+  return ConcurrentMerge(
+      this, pcomps, kcomps,
+      multi_writer() ? options_.build_cc : BuildCcMethod::kNone);
 }
 
 uint64_t Dataset::num_records() const {
@@ -1109,48 +1076,34 @@ Result<std::unique_ptr<Dataset>> Dataset::Recover(Env* env, Wal* wal,
   if (ds->pk_index_) {
     AUXLSM_RETURN_NOT_OK(
         ReopenTree(env, ds->pk_index_.get(), catalog.primary_key));
-    // Re-establish bitmap sharing between primary and pk-index components.
-    // Sharing is positional, so first verify the two lists actually line up
-    // wherever the catalog asks for a share: matching component ids and
-    // entry counts (bit positions are ordinals — a count mismatch means the
-    // shared bitmap would mark the wrong rows).
-    auto pcomps = ds->primary_->Components();
-    auto kcomps = ds->pk_index_->Components();
-    bool aligned = true;
-    for (size_t i = 0; i < kcomps.size(); i++) {
-      if (i >= catalog.primary_key.size() ||
-          !catalog.primary_key[i].shares_primary_bitmap) {
-        continue;
+    // Correlated merges (forced by Mutable-bitmap) slice both lists at the
+    // same positions, and a shared bitmap marks ordinals, so the two lists
+    // must line up component by component: matching ids and entry counts.
+    // A catalog is outside input, so verify before sharing.
+    if (ds->options_.correlated_merges) {
+      auto pcomps = ds->primary_->Components();
+      auto kcomps = ds->pk_index_->Components();
+      bool aligned = pcomps.size() == kcomps.size();
+      for (size_t i = 0; aligned && i < kcomps.size(); i++) {
+        aligned = pcomps[i]->id().min_ts == kcomps[i]->id().min_ts &&
+                  pcomps[i]->id().max_ts == kcomps[i]->id().max_ts &&
+                  pcomps[i]->num_entries() == kcomps[i]->num_entries();
       }
-      if (i >= pcomps.size() ||
-          pcomps[i]->id().min_ts != kcomps[i]->id().min_ts ||
-          pcomps[i]->id().max_ts != kcomps[i]->id().max_ts ||
-          pcomps[i]->meta().num_entries != kcomps[i]->meta().num_entries) {
-        aligned = false;
-        break;
-      }
-    }
-    if (aligned) {
-      for (size_t i = 0; i < kcomps.size() && i < pcomps.size(); i++) {
-        if (i < catalog.primary_key.size() &&
-            catalog.primary_key[i].shares_primary_bitmap) {
-          kcomps[i]->set_bitmap(pcomps[i]->bitmap());
+      if (!aligned) {
+        // The reopened primary components still carry correct bitmap
+        // *contents* from the catalog; one full pair merge materializes that
+        // validity into one primary component, rebuilds the pk index from
+        // the same scan, and shares the fresh bitmap again. This must happen
+        // before WAL replay: replayed bitmap ops target the front
+        // component's shared bitmap.
+        AUXLSM_RETURN_NOT_OK(ds->FullPairMerge());
+      } else {
+        for (size_t i = 0; i < kcomps.size(); i++) {
+          if (i < catalog.primary_key.size() &&
+              catalog.primary_key[i].shares_primary_bitmap) {
+            kcomps[i]->set_bitmap(pcomps[i]->bitmap());
+          }
         }
-      }
-    } else if (ds->options_.strategy == MaintenanceStrategy::kMutableBitmap) {
-      // Positional alignment was lost (a fault tore the lock-step merge
-      // schedule before the crash). The reopened components still carry
-      // correct per-component bitmap *contents* from the catalog; a full
-      // merge of both trees materializes that validity into one component
-      // each, and the pair can share a single fresh bitmap again. This must
-      // happen before WAL replay: replayed bitmap ops target the front
-      // component's shared bitmap.
-      AUXLSM_RETURN_NOT_OK(ds->primary_->MergeAll());
-      AUXLSM_RETURN_NOT_OK(ds->pk_index_->MergeAll());
-      auto pm = ds->primary_->Components();
-      auto km = ds->pk_index_->Components();
-      if (!pm.empty() && !km.empty()) {
-        km.front()->set_bitmap(pm.front()->bitmap());
       }
     }
   }

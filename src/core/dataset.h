@@ -454,9 +454,10 @@ class Dataset {
   size_t MemComponentBytes() const;
 
   // Internal: used by the concurrent-build module. Every ingestion operation
-  // holds this in shared mode; the Side-file builder takes it exclusively
-  // during its initialization and catchup phases (the "S lock dataset" of
-  // Fig 11 — draining ongoing operations).
+  // holds this in shared mode; the §5.3 pair merge takes it exclusively to
+  // drain ongoing operations (the "S lock dataset" of Fig 11: the Side-file
+  // initialization, and the install of both methods), and kNone holds it
+  // for the whole merge.
   RwLatch& ingest_latch() { return ingest_mu_; }
 
  private:
@@ -466,11 +467,10 @@ class Dataset {
   friend Status RunMergeRepair(Dataset* dataset, SecondaryIndex* index,
                                const std::vector<DiskComponentPtr>& picked);
   friend Status RunStandaloneRepair(Dataset* dataset, SecondaryIndex* index);
-  friend Status ConcurrentMergePicked(Dataset* dataset,
-                                      const std::vector<DiskComponentPtr>&,
-                                      const std::vector<DiskComponentPtr>&,
-                                      BuildCcMethod, ConcurrentMergeStats*,
-                                      bool);
+  friend Status ConcurrentMerge(Dataset* dataset,
+                                const std::vector<DiskComponentPtr>&,
+                                const std::vector<DiskComponentPtr>&,
+                                BuildCcMethod, ConcurrentMergeStats*);
 
   /// Lock-only internal transaction excluded from the no-steal active count
   /// (the §5.3 Lock-method builder): it has no memtable effects, so sealing
@@ -561,13 +561,15 @@ class Dataset {
   /// retries as a whole and keeps its tree's queued-merge accounting.
   std::vector<MaintenanceScheduler::MergeJob> MergeJobs();
   /// Mutable-bitmap only: marks entries of the freshly flushed primary
-  /// component that are superseded by newer active-memtable writes (their
-  /// delete/upsert raced the sealed window). Caller holds the latch. The
-  /// superseding writes were recorded in pending_bitmap_fixups_ as they
-  /// happened (MutableBitmapUpsert found the old version in a *sealed*
-  /// memtable), so the fixup costs O(recorded deletes) B-tree probes rather
+  /// components (`flushed`: one per sealed memtable the cycle installed)
+  /// that are superseded by newer writes (their delete/upsert raced the
+  /// sealed window). Caller holds the latch. The superseding writes were
+  /// recorded in pending_bitmap_fixups_ as they happened
+  /// (MutableBitmapUpsert found the old version in a *sealed* memtable), so
+  /// the fixup costs O(recorded deletes) B-tree probes per component rather
   /// than O(|active memtable| log n) under the exclusive latch.
-  Status FixupFlushedBitmap() REQUIRES(ingest_mu_);
+  Status FixupFlushedBitmap(const std::vector<DiskComponentPtr>& flushed)
+      REQUIRES(ingest_mu_);
   /// Records a seal-window superseding write for the next fixup.
   void RecordBitmapFixup(const std::string& pk, Timestamp ts);
 
@@ -577,8 +579,15 @@ class Dataset {
   /// captured under a brief *shared* ingest latch (installs hold it
   /// exclusively, so the positional alignment across trees is consistent),
   /// and the merges install by identity, which tolerates components
-  /// prepended meanwhile.
+  /// prepended meanwhile. Each round merges the primary and pk index as one
+  /// pair (ConcurrentMerge; under Mutable-bitmap with the §5.3 method
+  /// build_cc, or stop-the-world at one writer), then the secondaries.
   Status CorrelatedMerge();
+  /// Merges all of the primary index and of the pk index as one pair
+  /// (ConcurrentMerge), reading both lists under the shared ingest latch: a
+  /// full merge yields the same key set whatever the two lists' alignment,
+  /// so it also realigns them.
+  Status FullPairMerge();
   /// Hits the maintenance.merge failpoint ahead of a merge attempt, before
   /// it reads anything.
   Status MergeFailpoint();

@@ -13,7 +13,8 @@ Status RunDeletedKeyMergePicked(
   GetOptions gopts;
   gopts.use_blocked_bloom = ds->options().build_blocked_bloom;
   MergeSteps steps;
-  steps.entry = [&](const OwnedEntry& e, uint64_t, bool* keep) -> Status {
+  steps.entry = [&](const OwnedEntry& e, const MergeSteps::Position&,
+                    bool* keep) -> Status {
     if (e.antimatter) return Status::OK();
     Slice pk;
     SplitSecondaryKey(e.key, index->def.sk_width, nullptr, &pk);

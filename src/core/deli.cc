@@ -64,10 +64,7 @@ Status Dataset::PrimaryRepair(bool with_merge) {
     }
   }
 
-  if (with_merge) {
-    AUXLSM_RETURN_NOT_OK(primary_->MergeAll());
-    if (pk_index_) AUXLSM_RETURN_NOT_OK(pk_index_->MergeAll());
-  }
+  if (with_merge) AUXLSM_RETURN_NOT_OK(FullPairMerge());
   // Push the produced anti-matter through the LSM machinery so the secondary
   // indexes are physically cleaned (queries would already see them).
   AUXLSM_RETURN_NOT_OK(FlushAll());

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <chrono>
 
-#include "btree/btree_builder.h"
-#include "common/hash.h"
-
 namespace auxlsm {
 
 namespace {
@@ -82,359 +79,154 @@ void ApplyDeleteToBuild(BuildLink* link, const Slice& pk, Transaction* txn) {
   }
 }
 
-namespace {
-
-struct DualBuilder {
-  DualBuilder(Env* env) : primary(env), pk(env) {}
-  BtreeBuilder primary;
-  BtreeBuilder pk;
-  std::vector<uint64_t> hashes;
-
-  Status Add(const Slice& key, const Slice& value, Timestamp ts,
-             bool antimatter) {
-    AUXLSM_RETURN_NOT_OK(primary.Add(key, value, ts, antimatter));
-    AUXLSM_RETURN_NOT_OK(pk.Add(key, Slice(), ts, antimatter));
-    hashes.push_back(Hash64(key));
-    return Status::OK();
-  }
-};
-
-// Installs the finished primary/pk component pair, replacing the old ones.
-// An output that ends up not installed is retired, so a failure at any step
-// leaves none of its pages in the store or the buffer cache.
-Status InstallPair(Dataset* ds, const std::vector<DiskComponentPtr>& old_p,
-                   const std::vector<DiskComponentPtr>& old_k,
-                   DualBuilder* dual, ComponentId id, Timestamp repaired,
-                   const Bitmap& overlay, uint64_t emitted,
-                   uint64_t* output_entries) {
-  BtreeMeta pmeta, kmeta;
-  AUXLSM_RETURN_NOT_OK(dual->primary.Finish(&pmeta));
-  // The finished primary file now belongs to pcomp, not its builder.
-  auto pcomp = std::make_shared<DiskComponent>(id, ds->env(), pmeta);
-  if (Status st = dual->pk.Finish(&kmeta); !st.ok()) {
-    pcomp->MarkRetired();
-    return st;
-  }
-  *output_entries = pmeta.num_entries;
-  auto kcomp = std::make_shared<DiskComponent>(id, ds->env(), kmeta);
-  const double fpr = ds->options().bloom_fpr;
-  pcomp->set_bloom(std::make_unique<BloomFilter>(dual->hashes, fpr));
-  kcomp->set_bloom(std::make_unique<BloomFilter>(dual->hashes, fpr));
-  if (ds->options().build_blocked_bloom) {
-    pcomp->set_blocked_bloom(
-        std::make_unique<BlockedBloomFilter>(dual->hashes, fpr));
-    kcomp->set_blocked_bloom(
-        std::make_unique<BlockedBloomFilter>(dual->hashes, fpr));
-  }
-  // One shared validity bitmap (§5.1), seeded with deletes that were applied
-  // to the new component during the build.
-  auto bitmap = std::make_shared<Bitmap>(pmeta.num_entries);
-  for (uint64_t i = 0; i < emitted && i < pmeta.num_entries; i++) {
-    if (overlay.Test(i)) bitmap->Set(i);
-  }
-  pcomp->set_bitmap(bitmap);
-  kcomp->set_bitmap(bitmap);
-  pcomp->set_repaired_ts(repaired);
-  kcomp->set_repaired_ts(repaired);
-  // Recovery replays from the max component LSN; the merged pair must keep
-  // carrying the newest LSN of its inputs (see LsmTree::MergeComponents).
-  Lsn max_lsn = kInvalidLsn;
-  for (const auto& c : old_p) max_lsn = std::max(max_lsn, c->max_lsn());
-  pcomp->set_max_lsn(max_lsn);
-  kcomp->set_max_lsn(max_lsn);
-  // Merged range filter: union of inputs (conservative).
-  RangeFilter f;
-  for (const auto& c : old_p) {
-    if (c->range_filter().has_value()) f.Merge(*c->range_filter());
-  }
-  pcomp->set_range_filter(f);
-
-  LsmTree* const pk_tree = ds->primary_key_index();
-  if (pk_tree == nullptr) kcomp->MarkRetired();  // no tree to install into
-  if (Status st = ds->primary()->ReplaceComponents(old_p, pcomp); !st.ok()) {
-    pcomp->MarkRetired();
-    kcomp->MarkRetired();
-    return st;
-  }
-  if (pk_tree != nullptr) {
-    if (Status st = pk_tree->ReplaceComponents(old_k, kcomp); !st.ok()) {
-      kcomp->MarkRetired();
-      return st;
-    }
-  }
-  return Status::OK();
-}
-
-// Unpublishes a build on ANY exit after the link went live. A §5.3 build
-// that fails mid-scan (I/O error, injected fault, failed builder commit)
-// used to leave its BuildLink on the picked components and its side-file
-// open forever: writers kept routing deletes into the dead build, and under
-// decoupled scheduling the failed job wedged its group queue. The guard
-// closes the side-file and clears the links — under a briefly-acquired
-// exclusive ingest latch unless the caller already holds it — and the
-// success path disarms it after its own under-latch cleanup.
-class BuildLinkGuard {
- public:
-  BuildLinkGuard(Dataset* ds, bool dataset_latched,
-                 const std::vector<DiskComponentPtr>& old_p,
-                 const std::vector<DiskComponentPtr>& old_k)
-      : ds_(ds), latched_(dataset_latched), old_p_(old_p), old_k_(old_k) {}
-
-  void Arm(std::shared_ptr<BuildLink> link) {
-    link_ = std::move(link);
-    armed_ = true;
-  }
-  void Disarm() { armed_ = false; }
-
-  ~BuildLinkGuard() {
-    if (!armed_) return;
-    auto unpublish = [this]() {
-      if (link_ != nullptr) {
-        MutexLock l(link_->mu);
-        link_->side_file_closed = true;
-      }
-      for (const auto& c : old_p_) c->set_build_link(nullptr);
-      for (const auto& c : old_k_) c->set_build_link(nullptr);
-    };
-    if (latched_) {
-      unpublish();
-    } else {
-      WriteLatchGuard drain(ds_->ingest_latch());
-      unpublish();
-    }
-  }
-
- private:
-  Dataset* const ds_;
-  const bool latched_;
-  const std::vector<DiskComponentPtr>& old_p_;
-  const std::vector<DiskComponentPtr>& old_k_;
-  std::shared_ptr<BuildLink> link_;
-  bool armed_ = false;
-};
-
-}  // namespace
-
-Status ConcurrentMerge(Dataset* ds, size_t begin, size_t end,
-                       BuildCcMethod method, ConcurrentMergeStats* stats,
-                       bool dataset_latched) {
-  auto old_p_all = ds->primary()->Components();
-  auto old_k_all = ds->primary_key_index() != nullptr
-                       ? ds->primary_key_index()->Components()
-                       : std::vector<DiskComponentPtr>{};
-  if (end > old_p_all.size() || begin >= end) {
-    return Status::InvalidArgument("bad merge range");
-  }
-  std::vector<DiskComponentPtr> old_p(old_p_all.begin() + begin,
-                                      old_p_all.begin() + end);
-  std::vector<DiskComponentPtr> old_k;
-  if (!old_k_all.empty()) {
-    if (end > old_k_all.size()) {
-      return Status::InvalidArgument("pk index components out of sync");
-    }
-    old_k.assign(old_k_all.begin() + begin, old_k_all.begin() + end);
-  }
-  return ConcurrentMergePicked(ds, old_p, old_k, method, stats,
-                               dataset_latched);
-}
-
-Status ConcurrentMergePicked(Dataset* ds,
-                             const std::vector<DiskComponentPtr>& old_p,
-                             const std::vector<DiskComponentPtr>& old_k,
-                             BuildCcMethod method, ConcurrentMergeStats* stats,
-                             bool dataset_latched) {
+Status ConcurrentMerge(Dataset* ds, const std::vector<DiskComponentPtr>& old_p,
+                       const std::vector<DiskComponentPtr>& old_k,
+                       BuildCcMethod method, ConcurrentMergeStats* stats) {
+  ConcurrentMergeStats ignored;
+  if (stats == nullptr) stats = &ignored;
   const auto t0 = std::chrono::steady_clock::now();
-  // Runs fn with in-flight writers drained: under a freshly-acquired
-  // exclusive ingest latch, or bare when the caller already holds it (the
-  // latch is not reentrant, and the analysis cannot see a caller-held
-  // capability through a runtime flag — hence the call-under-guard shape
-  // instead of a conditional scoped lock).
-  auto with_writers_drained = [ds, dataset_latched](auto&& fn) {
-    if (dataset_latched) return fn();
-    WriteLatchGuard drain(ds->ingest_latch());
-    return fn();
-  };
-  if (old_p.empty()) {
-    return Status::InvalidArgument("bad merge range");
-  }
-  if (!old_k.empty() && old_k.size() != old_p.size()) {
-    return Status::InvalidArgument("pk index components out of sync");
-  }
-
-  uint64_t capacity = 0;
-  for (const auto& c : old_p) capacity += c->num_entries();
-  stats->input_entries = capacity;
-  const ComponentId id{old_p.back()->id().min_ts, old_p.front()->id().max_ts};
-  Timestamp repaired = old_p.front()->repaired_ts();
-  for (const auto& c : old_p) repaired = std::min(repaired, c->repaired_ts());
-  // Anti-matter may be dropped only when the merge reaches the tree's oldest
-  // component; checking against the live list is stable under concurrent
-  // flush installs (they only prepend at the newest end).
-  const bool drop_antimatter = ds->primary()->IsOldestComponent(old_p.back());
-
-  DualBuilder dual(ds->env());
-
-  if (method == BuildCcMethod::kNone) {
-    // Baseline: plain merge with live bitmaps, no writer coordination.
-    MergeCursor::Options mo;
-    mo.respect_bitmaps = true;
-    mo.drop_antimatter = drop_antimatter;
-    MergeCursor cursor(old_p, mo);
-    AUXLSM_RETURN_NOT_OK(cursor.Init());
-    Bitmap empty_overlay(0);
-    uint64_t emitted = 0;
-    while (cursor.Valid()) {
-      AUXLSM_RETURN_NOT_OK(
-          dual.Add(cursor.key(), cursor.value(), cursor.ts(),
-                   cursor.antimatter()));
-      emitted++;
-      AUXLSM_RETURN_NOT_OK(cursor.Next());
-    }
-    AUXLSM_RETURN_NOT_OK(with_writers_drained([&]() -> Status {
-      return InstallPair(ds, old_p, old_k, &dual, id, repaired, empty_overlay,
-                         0, &stats->output_entries);
-    }));
+  auto finish = [&](const Status& st) {
     stats->elapsed_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
+    return st;
+  };
+  uint64_t capacity = 0;
+  for (const auto& c : old_p) capacity += c->num_entries();
+  stats->input_entries = capacity;
+
+  MergeSteps steps;
+  steps.companion = ds->primary_key_index();
+  steps.companion_picked = old_k;
+  steps.before_install = [stats](DiskComponent* merged) {
+    stats->output_entries = merged->num_entries();
     return Status::OK();
+  };
+  LsmTree* const primary = ds->primary();
+  // Only Mutable-bitmap writers touch disk components (their bitmaps); every
+  // other strategy's pair merges like any other merge.
+  if (ds->options().strategy != MaintenanceStrategy::kMutableBitmap) {
+    return finish(primary->MergeComponents(old_p, steps));
+  }
+  if (method == BuildCcMethod::kNone) {
+    // Baseline: stop the world — no writer runs during the merge.
+    WriteLatchGuard latch(ds->ingest_latch());
+    return finish(primary->MergeComponents(old_p, steps));
   }
 
+  // Writers follow the link from whichever input their lookup found (the pk
+  // index's, or the primary's when the dataset keeps none) while the
+  // links are published.
   auto link = std::make_shared<BuildLink>(method, capacity);
-  BuildLinkGuard guard(ds, dataset_latched, old_p, old_k);
-  FaultInjector* fault = ds->options().fault_injector;
-
+  auto publish = [&](const std::shared_ptr<BuildLink>& l) {
+    for (const auto& c : old_p) c->set_build_link(l);
+    for (const auto& c : old_k) c->set_build_link(l);
+  };
+  // Called with writers drained: a failed build must not leave writers
+  // routing deletes into it (and its side-file open) forever.
+  auto unpublish = [&]() {
+    {
+      MutexLock l(link->mu);
+      link->side_file_closed = true;
+    }
+    publish(nullptr);
+  };
+  auto emit = [&link](const std::string& key) {
+    link->emitted_keys.push_back(key);
+    link->emitted_count.store(link->emitted_keys.size(),
+                              std::memory_order_release);
+  };
+  // Read-only: the Lock builder takes per-key shared locks but never touches
+  // a memtable, so it must not count toward the no-steal seal deferral — a
+  // long decoupled merge would otherwise block every flush cycle for its
+  // whole scan.
+  std::unique_ptr<Transaction> builder_txn;
   if (method == BuildCcMethod::kLock) {
-    // Fig 10a: make the new component visible, then scan with per-key shared
-    // locks, re-checking validity under the lock.
-    for (const auto& c : old_p) c->set_build_link(link);
-    for (const auto& c : old_k) c->set_build_link(link);
-    guard.Arm(link);
-    if (fault != nullptr) {
-      AUXLSM_RETURN_NOT_OK(
-          fault->Hit(failpoints::kConcurrentBuild, ds->env()->io()));
-    }
-
-    MergeCursor::Options mo;
-    mo.respect_bitmaps = false;  // validity re-checked under the lock
-    mo.drop_antimatter = drop_antimatter;
-    MergeCursor cursor(old_p, mo);
-    AUXLSM_RETURN_NOT_OK(cursor.Init());
-    // Read-only: the builder takes per-key shared locks but never touches a
-    // memtable, so it must not count toward the no-steal seal deferral — a
-    // long decoupled merge would otherwise block every flush cycle for its
-    // whole scan.
-    auto builder_txn = ds->BeginReadOnly();
-    while (cursor.Valid()) {
-      {
-        ScopedLock sl(ds->locks(), builder_txn->id(), cursor.key(),
-                      LockMode::kShared);
-        stats->builder_lock_acquisitions++;
-        const auto& src = old_p[cursor.source()];
-        const bool still_valid =
-            src->bitmap() == nullptr ||
-            !src->bitmap()->Test(cursor.source_ordinal());
-        if (still_valid) {
-          AUXLSM_RETURN_NOT_OK(dual.Add(cursor.key(), cursor.value(),
-                                        cursor.ts(), cursor.antimatter()));
-          link->emitted_keys.push_back(cursor.key().ToString());
-          link->emitted_count.store(link->emitted_keys.size(),
-                                    std::memory_order_release);
-        }
-      }
-      AUXLSM_RETURN_NOT_OK(cursor.Next());
-    }
-    AUXLSM_RETURN_NOT_OK(builder_txn->Commit());
-
-    // Drain in-flight writers, install, unlink.
-    AUXLSM_RETURN_NOT_OK(with_writers_drained([&]() -> Status {
-      const uint64_t emitted =
-          link->emitted_count.load(std::memory_order_acquire);
-      AUXLSM_RETURN_NOT_OK(InstallPair(ds, old_p, old_k, &dual, id, repaired,
-                                       link->overlay, emitted,
-                                       &stats->output_entries));
-      for (const auto& c : old_p) c->set_build_link(nullptr);
-      for (const auto& c : old_k) c->set_build_link(nullptr);
-      guard.Disarm();
+    // Fig 10a: make the new component visible, then scan with per-key
+    // shared locks. The scan must not skip by live bitmaps: a delete not yet
+    // committed sets a bit that its abort unsets, so each entry is decided
+    // under its key lock.
+    publish(link);
+    builder_txn = ds->BeginReadOnly();
+    steps.respect_bitmaps = false;
+    steps.entry = [&](const OwnedEntry& e, const MergeSteps::Position& at,
+                      bool* keep) {
+      ScopedLock sl(ds->locks(), builder_txn->id(), e.key, LockMode::kShared);
+      stats->builder_lock_acquisitions++;
+      *keep = old_p[at.source]->EntryValid(at.source_ordinal);
+      if (*keep) emit(e.key);
       return Status::OK();
-    }));
+    };
   } else {
-    // Side-file method, Fig 11a.
-    std::vector<std::shared_ptr<Bitmap>> snapshots;
-    // Initialization phase: drain ongoing operations, snapshot bitmaps,
-    // publish the link.
-    with_writers_drained([&]() {
-      for (const auto& c : old_p) {
-        snapshots.push_back(
-            c->bitmap() == nullptr
-                ? nullptr
-                : std::make_shared<Bitmap>(Bitmap::SnapshotOf(*c->bitmap())));
-      }
-      for (const auto& c : old_p) c->set_build_link(link);
-      for (const auto& c : old_k) c->set_build_link(link);
-      guard.Arm(link);
-    });
-    if (fault != nullptr) {
-      AUXLSM_RETURN_NOT_OK(
-          fault->Hit(failpoints::kConcurrentBuild, ds->env()->io()));
+    // Fig 11a: drain ongoing operations, snapshot the bitmaps, publish; the
+    // scan then reads the snapshots without per-key locks.
+    WriteLatchGuard drain(ds->ingest_latch());
+    for (const auto& c : old_p) {
+      steps.bitmap_snapshots.push_back(
+          c->bitmap() == nullptr
+              ? nullptr
+              : std::make_shared<Bitmap>(Bitmap::SnapshotOf(*c->bitmap())));
     }
-
-    // Build phase: scan against the snapshots; no per-key locks.
-    MergeCursor::Options mo;
-    mo.respect_bitmaps = true;
-    mo.bitmap_overrides = snapshots;
-    mo.drop_antimatter = drop_antimatter;
-    MergeCursor cursor(old_p, mo);
-    AUXLSM_RETURN_NOT_OK(cursor.Init());
-    while (cursor.Valid()) {
-      AUXLSM_RETURN_NOT_OK(dual.Add(cursor.key(), cursor.value(), cursor.ts(),
-                                    cursor.antimatter()));
-      link->emitted_keys.push_back(cursor.key().ToString());
-      link->emitted_count.store(link->emitted_keys.size(),
-                                std::memory_order_release);
-      AUXLSM_RETURN_NOT_OK(cursor.Next());
-    }
-
-    // Catch-up phase: close the side-file under the dataset latch, sort it,
-    // apply, install. The side-file mutex stays held across the sort/apply —
-    // writers are drained so it is uncontended; holding it just satisfies the
-    // guarded-field discipline without a behavior change.
-    AUXLSM_RETURN_NOT_OK(with_writers_drained([&]() -> Status {
-      size_t emitted = 0;
-      {
-        MutexLock l(link->mu);
-        link->side_file_closed = true;
-        // Stable sort keeps the delete/rollback order per key.
-        std::stable_sort(link->side_file.begin(), link->side_file.end(),
-                         [](const auto& a, const auto& b) {
-                           return a.first < b.first;
-                         });
-        emitted = link->emitted_count.load(std::memory_order_acquire);
-        for (const auto& [key, is_rollback] : link->side_file) {
-          uint64_t pos = 0;
-          if (!FindEmitted(link.get(), emitted, key, &pos)) continue;
-          if (is_rollback) {
-            link->overlay.Unset(pos);
-          } else {
-            link->overlay.Set(pos);
-            stats->side_file_applied++;
-          }
-        }
-      }
-      AUXLSM_RETURN_NOT_OK(InstallPair(ds, old_p, old_k, &dual, id, repaired,
-                                       link->overlay, emitted,
-                                       &stats->output_entries));
-      for (const auto& c : old_p) c->set_build_link(nullptr);
-      for (const auto& c : old_k) c->set_build_link(nullptr);
-      guard.Disarm();
+    publish(link);
+    steps.entry = [&](const OwnedEntry& e, const MergeSteps::Position&,
+                      bool*) {
+      emit(e.key);
       return Status::OK();
-    }));
+    };
   }
 
-  stats->elapsed_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  return Status::OK();
+  // Install phase, writers drained: catch up (Side-file: close, sort and
+  // apply the side-file, Fig 11a), then apply the deletes that reached the
+  // new component during the build to its bitmap, which the pk output
+  // shares, and unlink.
+  steps.drain_writers = &ds->ingest_latch();
+  steps.before_install = [&](DiskComponent* merged) -> Status {
+    const uint64_t emitted = link->emitted_count.load(std::memory_order_acquire);
+    if (method == BuildCcMethod::kSideFile) {
+      MutexLock l(link->mu);
+      link->side_file_closed = true;
+      // Stable sort keeps the delete/rollback order per key.
+      std::stable_sort(
+          link->side_file.begin(), link->side_file.end(),
+          [](const auto& a, const auto& b) { return a.first < b.first; });
+      for (const auto& [key, is_rollback] : link->side_file) {
+        uint64_t pos = 0;
+        if (!FindEmitted(link.get(), emitted, key, &pos)) continue;
+        if (is_rollback) {
+          link->overlay.Unset(pos);
+        } else {
+          link->overlay.Set(pos);
+          stats->side_file_applied++;
+        }
+      }
+    }
+    Bitmap* const bitmap = merged->bitmap().get();
+    for (uint64_t i = 0; i < emitted; i++) {
+      if (link->overlay.Test(i)) {
+        bitmap->Set(i);
+        stats->overlay_marks++;
+      }
+    }
+    unpublish();
+    stats->output_entries = merged->num_entries();
+    return Status::OK();
+  };
+
+  Status st;
+  if (FaultInjector* fault = ds->options().fault_injector; fault != nullptr) {
+    st = fault->Hit(failpoints::kConcurrentBuild, ds->env()->io());
+  }
+  if (st.ok()) st = primary->MergeComponents(old_p, steps);
+  if (!st.ok()) {
+    WriteLatchGuard drain(ds->ingest_latch());
+    unpublish();
+    return finish(st);
+  }
+  // The Lock builder holds no key lock between entries, so its read-only
+  // transaction ends here, outside the drain. It has no effects: a commit
+  // record the log drops cannot undo the installed merge.
+  if (builder_txn != nullptr) builder_txn->Commit();
+  return finish(st);
 }
 
 }  // namespace auxlsm

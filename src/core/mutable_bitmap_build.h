@@ -1,16 +1,21 @@
-// Concurrency control for flush/merge under the Mutable-bitmap strategy
-// (§5.3). A component builder constructs a new primary + primary-key-index
-// component pair (sharing one validity bitmap) while writers concurrently
-// delete keys:
+// The primary + primary-key-index pair merge, and the concurrency control it
+// runs under with the Mutable-bitmap strategy (§5.3). The pair is one
+// LsmTree::MergeComponents call: one scan of the primary writes both
+// outputs, which share one validity bitmap (§5.1) and install both or
+// neither. §5.3's methods are steps on that call that coordinate it with
+// writers deleting keys concurrently:
 //
-//  - Lock method (Fig 10): the builder takes a shared lock per scanned key
-//    and re-checks the bitmap; a writer whose deleted key was already copied
-//    into the new component marks it there directly.
-//  - Side-file method (Fig 11): the builder scans immutable bitmap snapshots;
-//    writers append deleted keys to a side-file that the builder sorts and
-//    applies during a catch-up phase.
-//  - kNone: no coordination (the Fig 23 baseline) — deletes that race with
-//    the scan may be missed by the new component.
+//  - Lock method (Fig 10): the scan skips nothing by the live bitmaps; each
+//    entry takes a shared key lock and re-checks its bit. A writer whose
+//    deleted key was already copied marks it in the build's overlay.
+//  - Side-file method (Fig 11): the scan reads bitmap snapshots; writers
+//    append deleted keys to a side-file, which a catch-up sorts and applies
+//    to the overlay.
+//  - kNone (the Fig 23 baseline): stop the world — the merge holds the
+//    exclusive ingest latch throughout.
+//
+// Lock and Side-file apply the overlay to the new bitmap and install with
+// writers drained.
 #pragma once
 
 #include <atomic>
@@ -65,31 +70,27 @@ struct ConcurrentMergeStats {
   uint64_t input_entries = 0;
   uint64_t output_entries = 0;
   uint64_t side_file_applied = 0;
+  /// Deletes that reached the new component during the build (Lock: by the
+  /// writers; Side-file: by the catch-up or after the side-file closed),
+  /// applied to its bitmap at install.
+  uint64_t overlay_marks = 0;
   uint64_t builder_lock_acquisitions = 0;
   double elapsed_seconds = 0;
 };
 
-/// Merges primary-index components [begin, end) (newest-first positions) and
-/// the matching primary-key-index components, concurrently with writers,
-/// using the given concurrency-control method. The dataset must use the
-/// Mutable-bitmap strategy. `dataset_latched` means the caller already holds
-/// the dataset's exclusive ingest latch (writers drained, e.g. the pipeline's
-/// stop-the-world kNone merge); the internal latch acquisitions are skipped.
-Status ConcurrentMerge(Dataset* dataset, size_t begin, size_t end,
-                       BuildCcMethod method, ConcurrentMergeStats* stats,
-                       bool dataset_latched = false);
-
-/// Identity-based form: merges the given primary components and (when the
-/// dataset keeps a primary key index) the matching pk-index components,
-/// captured by the caller. Decoupled merge-queue jobs use this — positions
-/// shift when a flush install races the merge, identities do not; the
-/// install replaces the inputs by identity and fails safe if they are no
-/// longer current. `old_k` must be positionally parallel to `old_p` (empty
-/// when there is no pk index).
-Status ConcurrentMergePicked(Dataset* dataset,
-                             const std::vector<DiskComponentPtr>& old_p,
-                             const std::vector<DiskComponentPtr>& old_k,
-                             BuildCcMethod method, ConcurrentMergeStats* stats,
-                             bool dataset_latched = false);
+/// The one pair merge: merges `primary`, a contiguous run of the primary
+/// index (still current), and `pk`, the primary key index's run it replaces
+/// (the aligned run; all of the pk index for a full merge; empty when the
+/// dataset keeps none), in one LsmTree::MergeComponents scan of the primary.
+/// The pk output comes from the same scan, and both install or neither.
+/// Under Mutable-bitmap the two outputs share one bitmap and `method`
+/// coordinates the merge with writers (§5.3): kNone holds the exclusive
+/// ingest latch throughout, kLock / kSideFile install with writers drained.
+/// Other strategies ignore `method`.
+Status ConcurrentMerge(Dataset* dataset,
+                       const std::vector<DiskComponentPtr>& primary,
+                       const std::vector<DiskComponentPtr>& pk,
+                       BuildCcMethod method,
+                       ConcurrentMergeStats* stats = nullptr);
 
 }  // namespace auxlsm

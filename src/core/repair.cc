@@ -123,11 +123,12 @@ Status RunMergeRepair(Dataset* ds, SecondaryIndex* index,
   // entry it writes to the sorter.
   std::vector<RepairKey> repair_keys;
   MergeSteps steps;
-  steps.entry = [&](const OwnedEntry& e, uint64_t ordinal, bool*) {
+  steps.entry = [&](const OwnedEntry& e, const MergeSteps::Position& at,
+                    bool*) {
     if (!e.antimatter) {
       Slice pk;
       SplitSecondaryKey(e.key, index->def.sk_width, nullptr, &pk);
-      repair_keys.push_back(RepairKey{pk.ToString(), e.ts, ordinal});
+      repair_keys.push_back(RepairKey{pk.ToString(), e.ts, at.ordinal});
     }
     return Status::OK();
   };

@@ -1,7 +1,7 @@
 // Background maintenance engine: runs the flushes and merges of a Dataset's
 // index trees concurrently on a ThreadPool (exec/thread_pool.h). It only
-// schedules: every merge it runs is LsmTree::MergeComponents, or the §5.3
-// primary+pk pair build (core/mutable_bitmap_build.h).
+// schedules: every merge it runs is one LsmTree::MergeComponents call, the
+// primary + pk-index pair merge included (core/mutable_bitmap_build.h).
 //
 // Architecture / threading model of src/exec/:
 //
@@ -15,8 +15,8 @@
 //                │                              its tree to policy
 //                └─ decoupled ──────────────► EnqueueMergeRound: per-tree
 //                                             FIFO queues, drain workers
-//   CorrelatedMerge ── primary, then pk; ───► RunAll: one task per
-//                      per round                secondary
+//   CorrelatedMerge ── one primary + pk ────► RunAll: one task per
+//                      pair merge per round     secondary
 //                                             │
 //                                             ▼
 //                                       ThreadPool (N workers; none at
@@ -24,10 +24,11 @@
 //
 //   - Work is fanned out at *tree* granularity: the primary, primary-key,
 //     secondary, and deleted-key trees flush and merge concurrently (a
-//     correlated round merges the primary before the pk index). Merges
-//     of one tree are never issued concurrently (per-tree serialization):
-//     each tree's merge loop runs inside a single task, and each merge is
-//     one streaming scan on that task's thread.
+//     correlated round merges the primary and the pk index as one pair,
+//     then the secondaries). Merges of one tree are never issued
+//     concurrently (per-tree serialization): each tree's merge loop runs
+//     inside a single task, and each merge is one scan on that task's
+//     thread.
 //   - Shared state touched from tasks: Env's PageStore / IoEngine /
 //     BufferCache (each internally synchronized; the BufferCache is
 //     lock-striped into shards), and each LsmTree's components_ list

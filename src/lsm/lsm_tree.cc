@@ -199,44 +199,55 @@ Status LsmTree::GetRaw(const Slice& key, LookupResult* out,
   return Status::OK();
 }
 
-Result<DiskComponentPtr> LsmTree::BuildComponent(
-    ComponentId id, const std::function<bool(OwnedEntry*)>& next) {
-  BtreeBuilder builder(env_);
-  std::vector<uint64_t> hashes;
-  RangeFilter filter;
-  OwnedEntry e;
-  while (next(&e)) {
-    Status st = builder.Add(e.key, e.value, e.ts, e.antimatter);
-    if (!st.ok()) return st;
-    if (options_.build_bloom || options_.build_blocked_bloom) {
-      hashes.push_back(Hash64(e.key));
-    }
-    if (options_.maintain_range_filter && options_.filter_key_extractor &&
-        !e.antimatter) {
-      filter.Expand(options_.filter_key_extractor(e.key, e.value));
-    }
-  }
-  BtreeMeta meta;
-  Status st = builder.Finish(&meta);
-  if (!st.ok()) return st;
+// Streams ascending entries into one disk component of a tree: the B+-tree,
+// the Bloom filters and, when the tree keeps one, the range filter over the
+// entries' filter keys. Destroyed before Finish, it releases its file.
+class LsmTree::ComponentBuilder {
+ public:
+  explicit ComponentBuilder(const LsmTree* tree)
+      : opts_(tree->options_), env_(tree->env_), btree_(tree->env_) {}
 
-  auto component = std::make_shared<DiskComponent>(id, env_, std::move(meta));
-  if (options_.build_bloom) {
-    component->set_bloom(
-        std::make_unique<BloomFilter>(hashes, options_.bloom_fpr));
+  Status Add(const Slice& key, const Slice& value, Timestamp ts,
+             bool antimatter) {
+    AUXLSM_RETURN_NOT_OK(btree_.Add(key, value, ts, antimatter));
+    if (opts_.build_bloom || opts_.build_blocked_bloom) {
+      hashes_.push_back(Hash64(key));
+    }
+    if (opts_.maintain_range_filter && opts_.filter_key_extractor &&
+        !antimatter) {
+      filter_.Expand(opts_.filter_key_extractor(key, value));
+    }
+    return Status::OK();
   }
-  if (options_.build_blocked_bloom) {
-    component->set_blocked_bloom(
-        std::make_unique<BlockedBloomFilter>(hashes, options_.bloom_fpr));
+
+  Result<DiskComponentPtr> Finish(ComponentId id) {
+    BtreeMeta meta;
+    AUXLSM_RETURN_NOT_OK(btree_.Finish(&meta));
+    auto component = std::make_shared<DiskComponent>(id, env_, std::move(meta));
+    if (opts_.build_bloom) {
+      component->set_bloom(
+          std::make_unique<BloomFilter>(hashes_, opts_.bloom_fpr));
+    }
+    if (opts_.build_blocked_bloom) {
+      component->set_blocked_bloom(
+          std::make_unique<BlockedBloomFilter>(hashes_, opts_.bloom_fpr));
+    }
+    if (opts_.maintain_range_filter) {
+      component->set_range_filter(filter_);
+    }
+    if (opts_.attach_bitmap) {
+      component->EnsureBitmap();
+    }
+    return component;
   }
-  if (options_.maintain_range_filter) {
-    component->set_range_filter(filter);
-  }
-  if (options_.attach_bitmap) {
-    component->EnsureBitmap();
-  }
-  return component;
-}
+
+ private:
+  const LsmTreeOptions& opts_;
+  Env* const env_;
+  BtreeBuilder btree_;
+  std::vector<uint64_t> hashes_;
+  RangeFilter filter_;
+};
 
 std::shared_ptr<Memtable> LsmTree::SealMemtable() {
   MutexLock l(mem_mu_);
@@ -249,16 +260,13 @@ std::shared_ptr<Memtable> LsmTree::SealMemtable() {
 
 Result<DiskComponentPtr> LsmTree::BuildFromSealed(
     const std::shared_ptr<Memtable>& sealed) {
-  const ComponentId id{sealed->min_ts(), sealed->max_ts()};
-  auto snapshot = sealed->Snapshot();
-  size_t i = 0;
-  auto next = [&](OwnedEntry* e) {
-    if (i >= snapshot.size()) return false;
-    *e = std::move(snapshot[i++]);
-    return true;
-  };
-  AUXLSM_ASSIGN_OR_RETURN(DiskComponentPtr component,
-                          BuildComponent(id, next));
+  ComponentBuilder builder(this);
+  for (const OwnedEntry& e : sealed->Snapshot()) {
+    AUXLSM_RETURN_NOT_OK(builder.Add(e.key, e.value, e.ts, e.antimatter));
+  }
+  AUXLSM_ASSIGN_OR_RETURN(
+      DiskComponentPtr component,
+      builder.Finish(ComponentId{sealed->min_ts(), sealed->max_ts()}));
   // The flushed component's range filter is the *memory component's* filter,
   // which strategies may have widened with old-record values (§3.1); the
   // entry-derived filter computed during the build can be too narrow.
@@ -343,56 +351,124 @@ Status LsmTree::MergeComponents(const std::vector<DiskComponentPtr>& picked,
                                 const MergeSteps& steps) {
   if (picked.empty()) return Status::OK();
   // Anti-matter may be dropped only if the merge reaches the oldest
-  // component (no older component can hold a shadowed version).
+  // component (no older component can hold a shadowed version). The
+  // companion output follows the same decision.
   const bool includes_oldest = IsOldestComponent(picked.back());
   MergeCursor::Options mo;
   mo.readahead_pages = options_.scan_readahead_pages;
-  mo.respect_bitmaps = true;
+  mo.respect_bitmaps = steps.respect_bitmaps;
+  mo.bitmap_overrides = steps.bitmap_snapshots;
   mo.drop_antimatter = includes_oldest;
   MergeCursor cursor(picked, mo);
   AUXLSM_RETURN_NOT_OK(cursor.Init());
 
   // The entry step runs before the cursor advances, so any lookup it makes
-  // precedes the next input page read, entry by entry.
-  Status stream_status;
-  uint64_t emitted = 0;
-  auto next = [&](OwnedEntry* e) {
-    while (cursor.Valid()) {
-      e->key = cursor.key().ToString();
-      e->value = cursor.value().ToString();
-      e->ts = cursor.ts();
-      e->antimatter = cursor.antimatter();
-      bool keep = true;
-      if (steps.entry) {
-        stream_status = steps.entry(*e, emitted, &keep);
-        if (!stream_status.ok()) return false;
-      }
-      stream_status = cursor.Next();
-      if (!stream_status.ok()) return false;
-      if (keep) {
-        emitted++;
-        return true;
-      }
-    }
-    return false;
+  // precedes the next input page read, entry by entry. A failed step or
+  // read returns with the builder unfinished, which releases its file.
+  //
+  // The companion's entries are kept and built once the output is finished:
+  // the write-through cache then admits the companion (the small index that
+  // writers probe) after the output, not interleaved with it, where it
+  // would age out with the output's pages. They are kept without values,
+  // keys back to back (the bound is on MergeSteps::companion).
+  struct TwinEntry {
+    size_t key_end;
+    Timestamp ts;
+    bool antimatter;
   };
+  LsmTree* const companion = steps.companion;
+  ComponentBuilder out(this);
+  std::string twin_keys;
+  std::vector<TwinEntry> twin_entries;
+  MergeSteps::Position at;
+  OwnedEntry e;
+  while (cursor.Valid()) {
+    e.key = cursor.key().ToString();
+    e.value = cursor.value().ToString();
+    e.ts = cursor.ts();
+    e.antimatter = cursor.antimatter();
+    at.source = cursor.source();
+    at.source_ordinal = cursor.source_ordinal();
+    bool keep = true;
+    if (steps.entry) AUXLSM_RETURN_NOT_OK(steps.entry(e, at, &keep));
+    AUXLSM_RETURN_NOT_OK(cursor.Next());
+    if (!keep) continue;
+    AUXLSM_RETURN_NOT_OK(out.Add(e.key, e.value, e.ts, e.antimatter));
+    if (companion != nullptr) {
+      twin_keys += e.key;
+      twin_entries.push_back(TwinEntry{twin_keys.size(), e.ts, e.antimatter});
+    }
+    at.ordinal++;
+  }
   const ComponentId id{picked.back()->id().min_ts, picked.front()->id().max_ts};
-  AUXLSM_ASSIGN_OR_RETURN(DiskComponentPtr merged, BuildComponent(id, next));
+  AUXLSM_ASSIGN_OR_RETURN(DiskComponentPtr merged, out.Finish(id));
+  InheritFromInputs(merged.get(), picked, includes_oldest);
 
+  // An output that is not installed is retired: that releases its file (and
+  // its cached pages) with the last reference, whichever step failed.
+  DiskComponentPtr twin;
+  auto build_twin = [&]() -> Status {
+    ComponentBuilder twin_out(companion);
+    size_t key_begin = 0;
+    for (const TwinEntry& t : twin_entries) {
+      AUXLSM_RETURN_NOT_OK(twin_out.Add(
+          Slice(twin_keys.data() + key_begin, t.key_end - key_begin),
+          Slice(), t.ts, t.antimatter));
+      key_begin = t.key_end;
+    }
+    AUXLSM_ASSIGN_OR_RETURN(twin, twin_out.Finish(id));
+    companion->InheritFromInputs(twin.get(), picked, includes_oldest);
+    return Status::OK();
+  };
+  bool merged_installed = false;
+  auto install = [&]() -> Status {
+    if (steps.before_install) {
+      AUXLSM_RETURN_NOT_OK(steps.before_install(merged.get()));
+    }
+    if (twin == nullptr) return ReplaceComponents(picked, merged);
+    // One validity bitmap per pair (§5.1), shared before either output is
+    // visible: set_bitmap is not synchronized against readers.
+    if (merged->bitmap() != nullptr) twin->set_bitmap(merged->bitmap());
+    // The two lists' locks have one rank and must not nest, so the
+    // companion's run is checked first. Only the pair's own merge removes
+    // components from either list (flush installs only prepend), so its
+    // replace then succeeds.
+    AUXLSM_RETURN_NOT_OK(companion->CheckCurrent(steps.companion_picked));
+    AUXLSM_RETURN_NOT_OK(ReplaceComponents(picked, merged));
+    merged_installed = true;
+    return companion->ReplaceComponents(steps.companion_picked, twin);
+  };
+  Status st = companion != nullptr ? build_twin() : Status::OK();
+  if (st.ok() && steps.drain_writers != nullptr) {
+    WriteLatchGuard drain(*steps.drain_writers);
+    st = install();
+  } else if (st.ok()) {
+    st = install();
+  }
+  if (!st.ok()) {
+    if (!merged_installed) merged->MarkRetired();
+    if (twin != nullptr) twin->MarkRetired();
+  }
+  return st;
+}
+
+void LsmTree::InheritFromInputs(DiskComponent* out,
+                                const std::vector<DiskComponentPtr>& in,
+                                bool includes_oldest) const {
   // A merged component inherits the most conservative repair progress, and
   // the newest LSN any input carried: recovery replays the log from the
   // maximum component LSN, so merging away the components that carried it
   // must not shrink that watermark (a crash right after a full merge would
   // otherwise re-replay — and under Eager semantics corrupt — work the
   // merged component already contains).
-  Timestamp repaired = picked.front()->repaired_ts();
+  Timestamp repaired = in.front()->repaired_ts();
   uint64_t max_lsn = 0;
-  for (const auto& c : picked) {
+  for (const auto& c : in) {
     repaired = std::min(repaired, c->repaired_ts());
     max_lsn = std::max(max_lsn, c->max_lsn());
   }
-  merged->set_repaired_ts(repaired);
-  merged->set_max_lsn(max_lsn);
+  out->set_repaired_ts(repaired);
+  out->set_max_lsn(max_lsn);
   // The merged range filter must stay the union of the inputs' filters
   // unless the merge reached the oldest component: a partial merge keeps
   // shadowing obsolete versions in older components, and the Eager
@@ -403,20 +479,34 @@ Status LsmTree::MergeComponents(const std::vector<DiskComponentPtr>& picked,
   if (options_.maintain_range_filter &&
       !(includes_oldest && options_.filter_key_extractor)) {
     RangeFilter f;
-    for (const auto& c : picked) {
+    for (const auto& c : in) {
       if (c->range_filter().has_value()) f.Merge(*c->range_filter());
     }
-    merged->set_range_filter(f);
+    out->set_range_filter(f);
   }
+}
 
-  // A stream that stopped on an error must not install its truncated
-  // output; retiring it releases the file (and its cached pages) with the
-  // last reference, whichever step failed.
-  Status st = stream_status;
-  if (st.ok() && steps.before_install) st = steps.before_install(merged.get());
-  if (st.ok()) st = ReplaceComponents(picked, merged);
-  if (!st.ok()) merged->MarkRetired();
-  return st;
+Status LsmTree::FindRun(const std::vector<DiskComponentPtr>& run,
+                        size_t* pos) const {
+  auto it = std::find(components_.begin(), components_.end(), run.front());
+  if (it == components_.end() ||
+      static_cast<size_t>(components_.end() - it) < run.size()) {
+    return Status::InvalidArgument("components no longer current");
+  }
+  for (size_t i = 0; i < run.size(); i++) {
+    if (*(it + i) != run[i]) {
+      return Status::InvalidArgument("components no longer contiguous");
+    }
+  }
+  *pos = static_cast<size_t>(it - components_.begin());
+  return Status::OK();
+}
+
+Status LsmTree::CheckCurrent(const std::vector<DiskComponentPtr>& run) const {
+  if (run.empty()) return Status::OK();
+  MutexLock l(components_mu_);
+  size_t pos = 0;
+  return FindRun(run, &pos);
 }
 
 Status LsmTree::ReplaceComponents(
@@ -430,19 +520,11 @@ Status LsmTree::ReplaceComponents(
       }
       return Status::OK();
     }
-    auto it = std::find(components_.begin(), components_.end(),
-                        old_components.front());
-    if (it == components_.end() ||
-        static_cast<size_t>(components_.end() - it) < old_components.size()) {
-      return Status::InvalidArgument("components no longer current");
-    }
-    for (size_t i = 0; i < old_components.size(); i++) {
-      if (*(it + i) != old_components[i]) {
-        return Status::InvalidArgument("components no longer contiguous");
-      }
-    }
+    size_t pos = 0;
+    AUXLSM_RETURN_NOT_OK(FindRun(old_components, &pos));
     for (const auto& c : old_components) c->MarkRetired();
-    it = components_.erase(it, it + old_components.size());
+    auto it = components_.begin() + static_cast<long>(pos);
+    it = components_.erase(it, it + static_cast<long>(old_components.size()));
     if (replacement != nullptr) {
       components_.insert(it, std::move(replacement));
     }

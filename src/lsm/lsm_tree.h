@@ -21,6 +21,7 @@
 
 #include "common/mutex.h"
 #include "common/result.h"
+#include "common/rwlatch.h"
 #include "common/thread_annotations.h"
 #include "lsm/component.h"
 #include "lsm/merge_cursor.h"
@@ -71,20 +72,45 @@ struct GetOptions {
   bool search_memtable = true;
 };
 
-/// The steps in which the plain merge, the deleted-key merge (§4.1) and
-/// merge repair (§4.4, Fig 7) differ; an empty MergeSteps is the plain
+class LsmTree;
+
+/// The steps in which the plain merge, the deleted-key merge (§4.1), merge
+/// repair (§4.4, Fig 7) and the primary + pk-index pair merge (§5.1, with
+/// §5.3's concurrency control) differ; an empty MergeSteps is the plain
 /// merge. Everything else — the component ID, dropping anti-matter only at
 /// the oldest component, filters, inherited repaired_ts and max_lsn, the
 /// install — is LsmTree::MergeComponents' alone.
 struct MergeSteps {
-  /// Runs on each reconciled entry before the cursor moves past it;
-  /// `ordinal` is the position the entry takes in the output if kept.
+  /// Where a reconciled entry comes from and where it goes.
+  struct Position {
+    size_t source = 0;            ///< index into the picked run
+    uint64_t source_ordinal = 0;  ///< position within picked[source]
+    uint64_t ordinal = 0;         ///< position in the output, if kept
+  };
+  /// Runs on each reconciled entry before the cursor moves past it.
   /// Clearing *keep drops the entry; an error fails the merge.
-  std::function<Status(const OwnedEntry& e, uint64_t ordinal, bool* keep)>
+  std::function<Status(const OwnedEntry& e, const Position& at, bool* keep)>
       entry;
-  /// Runs on the built, not yet installed component (its inherited
+  /// Runs on the built, not yet installed output (its inherited
   /// repaired_ts and max_lsn already set); an error fails the merge.
   std::function<Status(DiskComponent* merged)> before_install;
+  /// The bitmaps whose set bits the scan skips: the inputs' live bitmaps;
+  /// none (false: the entry step decides, §5.3 Lock); or snapshots parallel
+  /// to the picked run (§5.3 Side-file).
+  bool respect_bitmaps = true;
+  std::vector<std::shared_ptr<Bitmap>> bitmap_snapshots;
+  /// Companion output: `companion_picked`, the companion tree's run aligned
+  /// with the picked one (the primary key index's, §5.1), is replaced by a
+  /// component of the same scan's keys and timestamps without values, built
+  /// under the same rules. It shares the output's validity bitmap, if any.
+  /// Both runs must still be current before either is replaced. Its entries
+  /// are buffered until the output is finished: O(kept entries) memory,
+  /// each entry's key plus 24 bytes.
+  LsmTree* companion = nullptr;
+  std::vector<DiskComponentPtr> companion_picked;
+  /// When set, held exclusively across before_install and the install
+  /// (§5.3: writers drained).
+  RwLatch* drain_writers = nullptr;
 };
 
 class LsmTree {
@@ -188,16 +214,13 @@ class LsmTree {
   /// min_ts, newest max_ts), dropping anti-matter only when the run reaches
   /// the oldest component, and installs it in their place by identity. The
   /// output inherits the inputs' minimum repaired_ts and maximum max_lsn.
-  /// On any failure the output file is released and the list is unchanged.
+  /// On any failure every output file is released and the lists are
+  /// unchanged.
   Status MergeComponents(const std::vector<DiskComponentPtr>& picked,
                          const MergeSteps& steps = MergeSteps());
 
   /// Merges all disk components into one.
   Status MergeAll();
-
-  /// True if `c` is currently the oldest disk component (merges reaching it
-  /// may drop anti-matter).
-  bool IsOldestComponent(const DiskComponentPtr& c) const;
 
   // --- Component management (used by repair / concurrent builds) -------------
   /// Snapshot of disk components, newest first.
@@ -237,13 +260,26 @@ class LsmTree {
   void set_install_hook(InstallHook hook) { install_hook_ = std::move(hook); }
 
  private:
+  class ComponentBuilder;
+
   std::shared_ptr<Memtable> ActiveMem() const;
 
-  /// Builds a disk component from an entry stream (shared by flush and
-  /// merge). Entries must arrive in ascending key order via `next`, which
-  /// returns false when exhausted.
-  Result<DiskComponentPtr> BuildComponent(
-      ComponentId id, const std::function<bool(OwnedEntry*)>& next);
+  /// True if `c` is currently the oldest disk component (merges reaching it
+  /// may drop anti-matter).
+  bool IsOldestComponent(const DiskComponentPtr& c) const;
+
+  /// Sets what a merged output inherits from its inputs `in`: the minimum
+  /// repaired_ts, the maximum max_lsn and (when this tree keeps one) the
+  /// range filter.
+  void InheritFromInputs(DiskComponent* out,
+                         const std::vector<DiskComponentPtr>& in,
+                         bool includes_oldest) const;
+
+  /// Where `run` starts in components_; fails if it is no longer a current
+  /// contiguous run.
+  Status FindRun(const std::vector<DiskComponentPtr>& run, size_t* pos) const
+      REQUIRES(components_mu_);
+  Status CheckCurrent(const std::vector<DiskComponentPtr>& run) const;
 
   Env* const env_;
   LsmTreeOptions options_;

@@ -90,6 +90,11 @@ void ValidateRecovered(Dataset* ds,
   std::set<uint64_t> got;
   for (const auto& r : res.records) got.insert(r.id);
   EXPECT_EQ(got, expected) << trace;
+  // The time-range scan: under Mutable-bitmap the §5 per-component path,
+  // which trusts the bitmaps instead of reconciling versions.
+  ScanResult scan;
+  ASSERT_TRUE(ds->ScanTimeRange(0, UINT64_MAX, &scan).ok()) << trace;
+  EXPECT_EQ(scan.records_matched, model.size()) << trace;
 }
 
 class FaultMatrixTest : public ::testing::TestWithParam<MaintenanceStrategy> {
@@ -719,7 +724,7 @@ TEST(ReleaseOnFailureTest, FailedPairBuildReleasesBothOutputs) {
     fault.Arm(failpoints::kEnvAppendPage,
               FaultSpec::ErrorNth(Status::IOError("write down"), nth));
     ConcurrentMergeStats stats;
-    st = ConcurrentMerge(&ds, 0, 2, BuildCcMethod::kNone, &stats);
+    st = ConcurrentMerge(&ds, primary, pk, BuildCcMethod::kNone, &stats);
     fault.DisarmAll();
     if (st.ok()) break;
     failures++;
@@ -736,6 +741,164 @@ TEST(ReleaseOnFailureTest, FailedPairBuildReleasesBothOutputs) {
   pk.clear();
   EXPECT_EQ(env.store()->TotalPages(), LivePages(&ds));
   EXPECT_EQ(ds.num_records(), 600u);
+}
+
+// The time-range scan — under Mutable-bitmap the §5 per-component path,
+// which trusts the bitmaps — must match every record and no other.
+void ExpectScanMatchesRecords(Dataset* ds, const std::string& trace) {
+  ScanResult scan;
+  ASSERT_TRUE(ds->ScanTimeRange(0, UINT64_MAX, &scan).ok()) << trace;
+  EXPECT_EQ(scan.records_matched, ds->num_records()) << trace;
+}
+
+// --- One pair merge ---------------------------------------------------------
+// A correlated round merges the primary and the pk index as one pair: one
+// scan writes both outputs, and both install or neither. A page write that
+// fails anywhere in the first cycle that merges — its flush builds, the pair
+// merge or the secondaries' merges — must leave the two lists aligned and
+// none of its pages behind. Once the error is taken, the dataset keeps
+// ingesting and merging without degrading again, and under Mutable-bitmap
+// later deletes still reach the bitmaps the §5 scan reads.
+class PairFailureTest : public ::testing::TestWithParam<MaintenanceStrategy> {
+ protected:
+  // 4 KiB pages keep the first merging cycle near 20 page writes.
+  static EnvOptions EnvOpts(FaultInjector* fault) {
+    EnvOptions o = TestEnv(fault);
+    o.page_size = 4096;
+    return o;
+  }
+  DatasetOptions Options(FaultInjector* fault) const {
+    DatasetOptions o = ReleaseOpts(GetParam(), fault);
+    o.correlated_merges = true;
+    o.mem_budget_bytes = 24 << 10;
+    o.max_mergeable_bytes = 1 << 20;
+    if (GetParam() == MaintenanceStrategy::kValidation) o.merge_repair = true;
+    return o;
+  }
+  // Op i upserts one of kKeySpace keys; the first kKeySpace ops are inserts.
+  static Status Op(Dataset* ds, uint64_t i) {
+    return ds->Upsert(
+        MakeTweet(1 + (i * 7919) % kKeySpace, i % kUserSpace, i + 1));
+  }
+};
+
+TEST_P(PairFailureTest, FailedWriteInTheFirstMergeCycleKeepsThePairWhole) {
+  // The op whose inline maintenance cycle runs the first merges.
+  uint64_t first_merge_op = 0;
+  {
+    Env env(EnvOpts(nullptr));
+    Dataset ds(&env, Options(nullptr));
+    while (ds.ingest_stats().merges == 0) {
+      ASSERT_TRUE(Op(&ds, first_merge_op).ok());
+      if (ds.ingest_stats().merges == 0) first_merge_op++;
+      ASSERT_LT(first_merge_op, 10000u) << "no merge";
+    }
+  }
+  uint64_t failures = 0;
+  for (uint64_t nth = 1;; nth++) {
+    const std::string trace = "nth " + std::to_string(nth);
+    FaultInjector fault(11);
+    Env env(EnvOpts(&fault));
+    Dataset ds(&env, Options(&fault));
+    for (uint64_t i = 0; i < first_merge_op; i++) ASSERT_TRUE(Op(&ds, i).ok());
+    fault.Arm(failpoints::kEnvAppendPage,
+              FaultSpec::ErrorNth(Status::IOError("write down"), nth));
+    ASSERT_TRUE(Op(&ds, first_merge_op).ok()) << trace;  // it committed
+    const bool fired = fault.site_stats(failpoints::kEnvAppendPage).fires > 0;
+    fault.DisarmAll();
+    if (!fired) break;  // the cycle wrote fewer than nth pages
+    failures++;
+    ASSERT_EQ(ds.health(), DatasetHealth::kDegraded) << trace;
+
+    const auto p = ds.primary()->Components();
+    const auto k = ds.primary_key_index()->Components();
+    ASSERT_EQ(p.size(), k.size()) << trace;
+    for (size_t i = 0; i < p.size(); i++) {
+      ASSERT_EQ(p[i]->id().min_ts, k[i]->id().min_ts) << trace;
+      ASSERT_EQ(p[i]->id().max_ts, k[i]->id().max_ts) << trace;
+      ASSERT_EQ(p[i]->num_entries(), k[i]->num_entries()) << trace;
+    }
+    ASSERT_EQ(env.store()->TotalPages(), LivePages(&ds)) << trace;
+
+    ds.TakeBackgroundError();
+    ds.TakeBackgroundError();
+    ASSERT_EQ(ds.health(), DatasetHealth::kHealthy) << trace;
+    // Ops 0..49 inserted 50 distinct keys.
+    for (uint64_t i = 0; i < 50; i++) {
+      ASSERT_TRUE(ds.Delete(1 + (i * 7919) % kKeySpace).ok()) << trace;
+    }
+    ASSERT_TRUE(ds.FlushAll().ok()) << trace;
+    ExpectScanMatchesRecords(&ds, trace);
+    const uint64_t merges = ds.ingest_stats().merges;
+    for (uint64_t i = first_merge_op + 1; i <= first_merge_op + 3000; i++) {
+      ASSERT_TRUE(Op(&ds, i).ok()) << trace << " op " << i;
+    }
+    EXPECT_GT(ds.ingest_stats().merges, merges) << trace;
+  }
+  EXPECT_GT(failures, 10u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Strategies, PairFailureTest,
+    ::testing::Values(MaintenanceStrategy::kEager,
+                      MaintenanceStrategy::kValidation,
+                      MaintenanceStrategy::kMutableBitmap,
+                      MaintenanceStrategy::kDeletedKeyBtree),
+    [](const auto& info) {
+      std::string name = StrategyName(info.param);
+      for (char& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name;
+    });
+
+// A flush cycle that fails leaves its memtables sealed, and the next cycle
+// installs two components per tree. Under Mutable-bitmap each pk-index
+// component must share its own primary twin's bitmap, and the seal-window
+// marks must reach whichever primary component holds the old version, or
+// the §5 scan resurrects deleted rows.
+class ReflushedBitmapTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    env_ = std::make_unique<Env>(TestEnv(&fault_));
+    ds_ = std::make_unique<Dataset>(
+        env_.get(), ReleaseOpts(MaintenanceStrategy::kMutableBitmap, &fault_));
+    LoadRecords(ds_.get(), 1, 200, &time_);
+    fault_.Arm(failpoints::kFlushBuild,
+               FaultSpec::ErrorNth(Status::IOError("build down"), 1));
+    ASSERT_FALSE(ds_->FlushAll().ok());
+    fault_.DisarmAll();
+  }
+
+  FaultInjector fault_{9};
+  std::unique_ptr<Env> env_;
+  std::unique_ptr<Dataset> ds_;
+  uint64_t time_ = 0;
+};
+
+TEST_F(ReflushedBitmapTest, EveryPkComponentSharesItsTwinsBitmap) {
+  LoadRecords(ds_.get(), 201, 200, &time_);
+  ASSERT_TRUE(ds_->FlushAll().ok());
+  const auto p = ds_->primary()->Components();
+  const auto k = ds_->primary_key_index()->Components();
+  ASSERT_EQ(p.size(), 2u);
+  ASSERT_EQ(k.size(), 2u);
+  for (size_t i = 0; i < p.size(); i++) {
+    EXPECT_EQ(k[i]->bitmap(), p[i]->bitmap()) << "component " << i;
+  }
+  for (uint64_t id = 1; id <= 50; id++) ASSERT_TRUE(ds_->Delete(id).ok());
+  ASSERT_TRUE(ds_->FlushAll().ok());
+  EXPECT_EQ(ds_->num_records(), 350u);
+  ExpectScanMatchesRecords(ds_.get(), "deletes after the re-flush");
+}
+
+TEST_F(ReflushedBitmapTest, DeletesOfPendingRecordsReachTheirComponent) {
+  // The old versions sit in the memtable the failed cycle left sealed.
+  for (uint64_t id = 1; id <= 50; id++) ASSERT_TRUE(ds_->Delete(id).ok());
+  ASSERT_TRUE(ds_->FlushAll().ok());
+  ASSERT_EQ(ds_->primary()->NumDiskComponents(), 2u);
+  EXPECT_EQ(ds_->num_records(), 150u);
+  ExpectScanMatchesRecords(ds_.get(), "deletes of pending records");
 }
 
 }  // namespace

@@ -192,6 +192,49 @@ TEST(RecoveryBitmapTest, MissingBitmapOnRedoIsCorruption) {
       << recovered.status().ToString();
 }
 
+// A catalog whose primary and pk-index lists do not line up (here the pk
+// index lost its older component) cannot share bitmaps by position. Recover
+// realigns it with one full pair merge: the pk index is rebuilt from the
+// primary's scan and shares the merged primary's bitmap, so later deletes,
+// found through the pk index, reach every record.
+TEST(RecoveryBitmapTest, MisalignedCatalogIsRealignedAsOnePair) {
+  Env env(TestEnv());
+  Wal shared_wal;
+  DatasetCatalog catalog;
+  {
+    Dataset ds(&env, Opts(MaintenanceStrategy::kMutableBitmap));
+    for (uint64_t i = 1; i <= 200; i++) {
+      ASSERT_TRUE(ds.Upsert(MakeTweet(i, 1, i)).ok());
+      if (i % 100 == 0) {
+        ASSERT_TRUE(ds.FlushAll().ok());
+      }
+    }
+    for (uint64_t i = 1; i <= 10; i++) ASSERT_TRUE(ds.Delete(i).ok());
+    catalog = ds.Checkpoint();
+    for (const auto& r : ds.wal()->ReadFrom(kInvalidLsn)) {
+      shared_wal.Append(r);
+    }
+  }
+  ASSERT_EQ(catalog.primary_key.size(), 2u);
+  catalog.primary_key.pop_back();
+  auto recovered = Dataset::Recover(
+      &env, &shared_wal, catalog, Opts(MaintenanceStrategy::kMutableBitmap),
+      nullptr);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  Dataset* ds = recovered->get();
+  ASSERT_EQ(ds->primary()->NumDiskComponents(), 1u);
+  ASSERT_EQ(ds->primary_key_index()->NumDiskComponents(), 1u);
+  EXPECT_EQ(ds->primary_key_index()->Components()[0]->bitmap(),
+            ds->primary()->Components()[0]->bitmap());
+  EXPECT_EQ(ds->num_records(), 190u);
+  for (uint64_t i = 11; i <= 20; i++) ASSERT_TRUE(ds->Delete(i).ok());
+  ASSERT_TRUE(ds->FlushAll().ok());
+  EXPECT_EQ(ds->num_records(), 180u);
+  ScanResult scan;
+  ASSERT_TRUE(ds->ScanTimeRange(0, UINT64_MAX, &scan).ok());
+  EXPECT_EQ(scan.records_matched, 180u);
+}
+
 TEST(RecoveryCatalogTest, CheckpointCapturesFiltersAndRepairedTs) {
   Env env(TestEnv());
   DatasetOptions o = Opts(MaintenanceStrategy::kValidation);

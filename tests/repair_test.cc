@@ -9,6 +9,7 @@
 
 #include "core/dataset.h"
 #include "core/deleted_key.h"
+#include "core/mutable_bitmap_build.h"
 #include "format/key_codec.h"
 
 namespace auxlsm {
@@ -233,6 +234,36 @@ TEST(PrimaryRepairTest, WithMergeCollapsesPrimaryComponents) {
   EXPECT_EQ(ds.primary()->NumDiskComponents(), 1u);
 }
 
+// The full merge behind PrimaryRepair(true) merges the primary and the pk
+// index as one pair: under Mutable-bitmap the merged pk component shares the
+// merged primary's bitmap, so later deletes, found through the pk index,
+// still mark the rows the §5 per-component scan reads.
+TEST(PrimaryRepairTest, WithMergeKeepsThePairsSharedBitmap) {
+  Env env(TestEnv());
+  DatasetOptions o;
+  o.strategy = MaintenanceStrategy::kMutableBitmap;
+  o.mem_budget_bytes = 1 << 30;
+  Dataset ds(&env, o);
+  uint64_t time = 0;
+  for (int round = 0; round < 3; round++) {
+    for (uint64_t i = 1; i <= 150; i++) {
+      ASSERT_TRUE(ds.Upsert(MakeTweet(round * 1000 + i, 1, ++time)).ok());
+    }
+    ASSERT_TRUE(ds.FlushAll().ok());
+  }
+  ASSERT_TRUE(ds.PrimaryRepair(/*with_merge=*/true).ok());
+  ASSERT_EQ(ds.primary()->NumDiskComponents(), 1u);
+  ASSERT_EQ(ds.primary_key_index()->NumDiskComponents(), 1u);
+  EXPECT_EQ(ds.primary_key_index()->Components()[0]->bitmap(),
+            ds.primary()->Components()[0]->bitmap());
+  for (uint64_t i = 1; i <= 50; i++) ASSERT_TRUE(ds.Delete(i).ok());
+  ASSERT_TRUE(ds.FlushAll().ok());
+  ScanResult scan;
+  ASSERT_TRUE(ds.ScanTimeRange(0, UINT64_MAX, &scan).ok());
+  EXPECT_EQ(ds.num_records(), 400u);
+  EXPECT_EQ(scan.records_matched, 400u);
+}
+
 TEST(DeletedKeyTest, CompanionTreeTracksRewrites) {
   Env env(TestEnv());
   DatasetOptions o;
@@ -416,6 +447,62 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return "Unknown";
     });
+
+// The pair merge builds the pk-index output from the primary's scan, under
+// the primary output's rules: the same ID and max_lsn, the same anti-matter
+// decision, the same keys and timestamps.
+TEST(PairMergeTest, PkOutputFollowsThePrimaryOutputsRules) {
+  Env env(TestEnv());
+  DatasetOptions o = ValidationOpts(false);
+  o.correlated_merges = true;
+  Dataset ds(&env, o);
+  uint64_t time = 0;
+  for (uint64_t c = 0; c < 3; c++) {
+    for (uint64_t i = 1; i <= 100; i++) {
+      ASSERT_TRUE(ds.Upsert(MakeTweet(c * 1000 + i, 1, ++time)).ok());
+    }
+    // The middle component deletes ten records of the oldest.
+    for (uint64_t i = 1; c == 1 && i <= 10; i++) ASSERT_TRUE(ds.Delete(i).ok());
+    ASSERT_TRUE(ds.FlushAll().ok());
+  }
+  auto expect_twins = [&](uint64_t antimatter) {
+    const DiskComponentPtr p = ds.primary()->Components().front();
+    const DiskComponentPtr k = ds.primary_key_index()->Components().front();
+    EXPECT_EQ(k->id().min_ts, p->id().min_ts);
+    EXPECT_EQ(k->id().max_ts, p->id().max_ts);
+    EXPECT_EQ(k->max_lsn(), p->max_lsn());
+    ASSERT_EQ(k->num_entries(), p->num_entries());
+    auto pit = p->tree().NewIterator();
+    auto kit = k->tree().NewIterator();
+    ASSERT_TRUE(pit.SeekToFirst().ok());
+    ASSERT_TRUE(kit.SeekToFirst().ok());
+    uint64_t seen = 0;
+    while (pit.Valid() && kit.Valid()) {
+      EXPECT_EQ(kit.key(), pit.key());
+      EXPECT_EQ(kit.ts(), pit.ts());
+      EXPECT_EQ(kit.antimatter(), pit.antimatter());
+      EXPECT_TRUE(kit.value().empty());
+      if (pit.antimatter()) seen++;
+      ASSERT_TRUE(pit.Next().ok());
+      ASSERT_TRUE(kit.Next().ok());
+    }
+    EXPECT_EQ(seen, antimatter);
+  };
+  auto p = ds.primary()->Components();
+  auto k = ds.primary_key_index()->Components();
+  // Not reaching the oldest component: the anti-matter stays in both.
+  ASSERT_TRUE(
+      ConcurrentMerge(&ds, {p[0], p[1]}, {k[0], k[1]}, BuildCcMethod::kNone)
+          .ok());
+  ASSERT_EQ(ds.primary_key_index()->NumDiskComponents(), 2u);
+  expect_twins(10);
+  p = ds.primary()->Components();
+  k = ds.primary_key_index()->Components();
+  ASSERT_TRUE(ConcurrentMerge(&ds, p, k, BuildCcMethod::kNone).ok());
+  ASSERT_EQ(ds.primary_key_index()->NumDiskComponents(), 1u);
+  expect_twins(0);
+  EXPECT_EQ(ds.num_records(), 290u);
+}
 
 }  // namespace
 }  // namespace auxlsm
