@@ -7,6 +7,8 @@
 namespace auxlsm {
 
 /// Computes CRC-32C of data[0, n), seeded with an optional running crc.
+/// Runs on the SSE4.2 crc32 instruction when CPUID reports it (chosen once,
+/// on first call), else on a portable table loop; both give the same value.
 uint32_t Crc32c(const void* data, size_t n, uint32_t crc = 0);
 
 /// Masks a crc so that a crc of data containing embedded crcs stays robust

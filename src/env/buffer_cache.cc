@@ -109,7 +109,9 @@ Status BufferCache::Read(uint32_t file_id, uint32_t page_no, PageData* out,
     io_->ChargeRead(file_id, page_no);
     InsertLocked(s, k, *out);
   }
-  // Read-ahead: fault in following pages at sequential cost.
+  // Read-ahead: fault in following pages at sequential cost. Point lookups
+  // ask for none, so they skip the store's page-count lookup.
+  if (readahead_pages == 0) return Status::OK();
   const uint32_t n_pages = store_->NumPages(file_id);
   for (uint32_t i = 1; i <= readahead_pages && page_no + i < n_pages; i++) {
     const Key rk{file_id, page_no + i};

@@ -22,9 +22,19 @@ std::string LogRecord::Encode() const {
   return out;
 }
 
+size_t LogRecord::EncodedSize() const {
+  // Header (fixed32 length + fixed32 crc), then the body fields in Encode's
+  // order: the type and update bit take one byte each.
+  return 8 + VarintLength(lsn) + VarintLength(txn_id) + 2 + VarintLength(ts) +
+         VarintLength(key.size()) + key.size() + VarintLength(value.size()) +
+         value.size();
+}
+
 Status LogRecord::Decode(const Slice& data, LogRecord* out, size_t* consumed) {
   if (data.size() < 8) return Status::Corruption("log record header");
-  const uint32_t len = DecodeFixed32(data.data());
+  // size_t, not uint32_t: a length prefix near 2^32 must not wrap 8 + len
+  // past the bounds check.
+  const size_t len = DecodeFixed32(data.data());
   const uint32_t crc = UnmaskCrc(DecodeFixed32(data.data() + 4));
   if (data.size() < 8 + len) return Status::Corruption("log record truncated");
   const Slice body(data.data() + 8, len);

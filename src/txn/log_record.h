@@ -37,6 +37,8 @@ struct LogRecord {
 
   /// Binary encoding with a masked CRC-32C trailer.
   std::string Encode() const;
+  /// Encode().size(), computed from the field sizes without encoding.
+  size_t EncodedSize() const;
   static Status Decode(const Slice& data, LogRecord* out, size_t* consumed);
 };
 

@@ -45,8 +45,9 @@ Wal::Backlog Wal::backlog() const {
 Lsn Wal::AppendLocked(LogRecord record) {
   record.lsn = next_lsn_++;
   // Charge sequential log I/O one page at a time as bytes accumulate; full
-  // pages stream out on the appending thread's log-device queue.
-  bytes_since_page_ += record.Encode().size();
+  // pages stream out on the appending thread's log-device queue. The log
+  // keeps LogRecord objects, so only the encoded size is needed here.
+  bytes_since_page_ += record.EncodedSize();
   while (bytes_since_page_ >= log_page_bytes_) {
     io_.ChargeWrite(1);
     bytes_since_page_ -= log_page_bytes_;

@@ -2,10 +2,12 @@
 
 #include <map>
 #include <set>
+#include <vector>
 
 #include "common/clock.h"
 #include "common/coding.h"
 #include "common/crc32.h"
+#include "common/crc32_internal.h"
 #include "common/hash.h"
 #include "common/random.h"
 #include "common/result.h"
@@ -150,6 +152,64 @@ TEST(Crc32Test, KnownVectorsAndProperties) {
   EXPECT_NE(Crc32c("a", 1), Crc32c("b", 1));
   const uint32_t crc = Crc32c("data", 4);
   EXPECT_EQ(UnmaskCrc(MaskCrc(crc)), crc);
+}
+
+// Crc32c runs on SSE4.2 where the CPU has it; these hold it (and the
+// portable table loop, called directly) to the same values.
+TEST(Crc32Test, Rfc3720Vectors) {
+  using crc32_internal::Crc32cPortable;
+  unsigned char zeros[32], ones[32], up[32], down[32];
+  for (int i = 0; i < 32; i++) {
+    zeros[i] = 0x00;
+    ones[i] = 0xff;
+    up[i] = static_cast<unsigned char>(i);
+    down[i] = static_cast<unsigned char>(31 - i);
+  }
+  EXPECT_EQ(Crc32c(zeros, 32), 0x8A9136AAu);
+  EXPECT_EQ(Crc32c(ones, 32), 0x62A8AB43u);
+  EXPECT_EQ(Crc32c(up, 32), 0x46DD794Eu);
+  EXPECT_EQ(Crc32c(down, 32), 0x113FDB5Cu);
+  EXPECT_EQ(Crc32cPortable(zeros, 32, 0), 0x8A9136AAu);
+  EXPECT_EQ(Crc32cPortable(ones, 32, 0), 0x62A8AB43u);
+  EXPECT_EQ(Crc32cPortable(up, 32, 0), 0x46DD794Eu);
+  EXPECT_EQ(Crc32cPortable(down, 32, 0), 0x113FDB5Cu);
+  EXPECT_EQ(Crc32cPortable("123456789", 9, 0), 0xE3069283u);
+}
+
+TEST(Crc32Test, MatchesPortableAtEveryLengthAndAlignment) {
+  Random rnd(17);
+  std::vector<unsigned char> data(1024 + 8);
+  for (auto& b : data) b = static_cast<unsigned char>(rnd.Next());
+  for (size_t off = 0; off < 8; off++) {
+    for (size_t len = 0; len <= 1024; len++) {
+      // An exact-size heap copy, so a load past the end is a sanitizer
+      // error rather than a read of the neighbouring bytes.
+      const std::vector<unsigned char> buf(data.begin(),
+                                           data.begin() + off + len);
+      ASSERT_EQ(Crc32c(buf.data() + off, len),
+                crc32_internal::Crc32cPortable(buf.data() + off, len, 0))
+          << "off=" << off << " len=" << len;
+    }
+  }
+}
+
+TEST(Crc32Test, SeededCallsChain) {
+  using crc32_internal::Crc32cPortable;
+  Random rnd(29);
+  std::vector<unsigned char> data(300);
+  for (auto& b : data) b = static_cast<unsigned char>(rnd.Next());
+  const uint32_t whole = Crc32c(data.data(), data.size());
+  for (size_t split = 0; split <= data.size(); split++) {
+    const unsigned char* b = data.data() + split;
+    const size_t nb = data.size() - split;
+    EXPECT_EQ(Crc32c(b, nb, Crc32c(data.data(), split)), whole) << split;
+    EXPECT_EQ(Crc32cPortable(b, nb, Crc32cPortable(data.data(), split, 0)),
+              whole)
+        << split;
+    // The two paths share one running value, so they chain into each other.
+    EXPECT_EQ(Crc32cPortable(b, nb, Crc32c(data.data(), split)), whole)
+        << split;
+  }
 }
 
 TEST(HashTest, DeterministicAndSpread) {

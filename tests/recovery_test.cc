@@ -3,6 +3,7 @@
 // rebuild an equivalent dataset by replaying committed work.
 #include <gtest/gtest.h>
 
+#include "common/coding.h"
 #include "core/dataset.h"
 
 namespace auxlsm {
@@ -349,6 +350,26 @@ TEST(WalTornTailTest, SubHeaderTailResidueTruncatesCleanly) {
   ASSERT_TRUE(DecodeWalStream(Slice(stream), &out, &stats).ok());
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(stats.torn_tail_bytes, 3u);
+}
+
+TEST(WalTornTailTest, LengthPrefixNearFourGiBTruncatesCleanly) {
+  // 8 + len overflows 32 bits for these lengths; the decoder must still see
+  // that the frame runs past the stream, not read the body.
+  for (const uint32_t len : {0xFFFFFFF8u, 0xFFFFFFFFu}) {
+    std::string stream = EncodeStream(2);
+    const size_t good = stream.size();
+    std::string header(8, '\0');
+    EncodeFixed32(header.data(), len);
+    stream += header;
+    stream += std::string(5, 'x');
+
+    std::vector<LogRecord> out;
+    RecoveryStats stats;
+    const Status st = DecodeWalStream(Slice(stream), &out, &stats);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    ASSERT_EQ(out.size(), 2u);
+    EXPECT_EQ(stats.torn_tail_bytes, stream.size() - good) << len;
+  }
 }
 
 TEST(WalTornTailTest, MidLogCorruptionFailsLoudly) {
