@@ -678,11 +678,7 @@ Status Dataset::FixupFlushedBitmap(
   for (size_t i = 0; i < pending.size(); i++) {
     const auto& [key, ts] = pending[i];
     for (const DiskComponentPtr& c : flushed) {
-      LeafEntry entry;
-      std::string backing;
-      uint64_t ordinal = 0;
-      Status st = c->tree().GetWithOrdinal(key, &entry, &backing, &ordinal);
-      if (st.IsNotFound()) continue;
+      const Status st = MarkSuperseded(*c, key, ts).status();
       if (!st.ok()) {
         // Re-stash the unprocessed marks (current one included — Set is
         // idempotent): a retried cycle must not lose supersessions, or the
@@ -692,15 +688,33 @@ Status Dataset::FixupFlushedBitmap(
                                       pending.begin() + i, pending.end());
         return st.WithContext("bitmap fixup");
       }
-      if (!entry.antimatter && entry.ts < ts) {
-        c->bitmap()->Set(ordinal);
-        // The bit flip changed the visible outcome for this pk outside the
-        // write path's own invalidation window; cut the cache again.
-        if (tuple_cache_) tuple_cache_->InvalidatePk(key);
-      }
     }
   }
   return Status::OK();
+}
+
+Result<bool> Dataset::MarkSuperseded(const DiskComponent& c,
+                                     const std::string& key, Timestamp ts) {
+  LeafEntry entry;
+  std::string backing;
+  uint64_t ordinal = 0;
+  const Status st = c.tree().GetWithOrdinal(key, &entry, &backing, &ordinal);
+  if (st.IsNotFound()) return false;
+  AUXLSM_RETURN_NOT_OK(st);
+  if (entry.antimatter || entry.ts >= ts) return false;  // not older
+  if (c.bitmap() == nullptr) {
+    // The write superseded this version, but the component cannot record
+    // it — returning OK would silently resurrect the old version. Under the
+    // Mutable-bitmap strategy every primary/pk component carries a bitmap,
+    // so a missing one means the checkpointed catalog and the log disagree.
+    return Status::Corruption("bitmap mark for '" + key +
+                              "' targets component without bitmap");
+  }
+  c.bitmap()->Set(ordinal);
+  // The bit flip changed the visible outcome for this pk outside the write
+  // path's own invalidation window; cut the cache again.
+  if (tuple_cache_) tuple_cache_->InvalidatePk(key);
+  return true;
 }
 
 Status Dataset::FlushAll() {
@@ -1120,21 +1134,10 @@ Result<std::unique_ptr<Dataset>> Dataset::Recover(Env* env, Wal* wal,
   }
 
   Dataset* d = ds.get();
-  auto redo_op = [d](const LogRecord& r) -> Status {
-    TweetRecord rec;
-    if (r.type == LogRecordType::kDelete) {
-      rec.id = DecodeU64(r.key);
-    } else {
-      AUXLSM_RETURN_NOT_OK(TweetRecord::Deserialize(r.value, &rec));
-    }
-    return d->ReplayOp(r, rec);
-  };
-  auto redo_bitmap = [d](const LogRecord& r) -> Status {
-    return d->ReplayBitmap(r);
-  };
-  AUXLSM_RETURN_NOT_OK(RecoverFromWal(*wal, catalog.max_component_lsn,
-                                      catalog.bitmap_checkpoint_lsn, redo_op,
-                                      redo_bitmap, stats));
+  AUXLSM_RETURN_NOT_OK(RecoverFromWal(
+      *wal, catalog.max_component_lsn, catalog.bitmap_checkpoint_lsn,
+      [d](const LogRecord& r) { return d->ReplayOp(r); },
+      [d](const LogRecord& r) { return d->ReplayBitmap(r); }, stats));
   return ds;
 }
 

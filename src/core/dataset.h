@@ -105,7 +105,6 @@ struct DatasetOptions {
   // --- Mutable-bitmap strategy ----------------------------------------------
   BuildCcMethod build_cc = BuildCcMethod::kNone;
 
-  bool enable_wal = true;
   uint32_t scan_readahead_pages = 32;  ///< scaled equivalent of the paper's 4 MB read-ahead (32 pages of 128 KB)
 
   /// Queues of the dedicated log device (io/io_engine.h). 1 = the legacy
@@ -407,6 +406,8 @@ class Dataset {
   /// on unknown names. Query planning routes index selection through this.
   Result<SecondaryIndex*> secondary_by_name(std::string_view name);
   const IngestStats& ingest_stats() const { return stats_; }
+  /// Live records: a full reconciling scan of the primary index through the
+  /// buffer cache, so it charges modeled I/O (tests and diagnostics).
   uint64_t num_records() const;
 
   /// The interval tuple cache; null when tuple_cache_bytes == 0. Read sites
@@ -430,7 +431,8 @@ class Dataset {
   /// sealed memtables, maintenance pool queue depth, pending merge
   /// rounds/jobs, WAL batch occupancy), and — when DatasetOptions::metrics
   /// is attached — the registry's counters and latency histograms. Always
-  /// available (pull-based; costs nothing until called).
+  /// available (pull-based; costs nothing until called). It reads no pages:
+  /// taking it never charges the modeled clock or touches the page cache.
   obs::MetricsSnapshot MetricsSnapshot();
   /// Human-readable dump of MetricsSnapshot() (the quickstart's one-call
   /// "show me what happened").
@@ -483,18 +485,26 @@ class Dataset {
 
   // ingest.cc
   Status IngestOp(LogRecordType op, const TweetRecord& record,
-                  Transaction* txn, bool* inserted, bool log_to_wal);
+                  Transaction* txn, bool* inserted);
   /// Recovery redo of a data operation (uses the record's original ts, no
   /// WAL logging, no locks).
-  Status ReplayOp(const LogRecord& r, const TweetRecord& record);
+  Status ReplayOp(const LogRecord& r);
   /// Recovery redo of a bitmap mutation for a record whose data already
   /// resides in disk components (update bit, §5.2).
   Status ReplayBitmap(const LogRecord& r);
-  // The strategy upsert helpers and the cache cut below run with the ingest
-  // latch held shared: they mutate memtables and component bitmaps that the
-  // seal/install phases swap under the exclusive latch. IngestOp holds the
-  // guard across the whole operation; ReplayOp takes it itself (recovery is
-  // single-threaded, but the invariant is uniform either way).
+  // The write path below runs with the ingest latch held shared: it mutates
+  // memtables and component bitmaps that the seal/install phases swap under
+  // the exclusive latch. IngestOp holds the guard across the whole
+  // operation; ReplayOp takes it itself (recovery is single-threaded, but
+  // the invariant is uniform either way), PrimaryRepair per cancellation.
+  /// One write, shared by IngestOp and recovery redo: the strategy's lookup
+  /// of the version it replaces (an insert has none), WriteVersion, then the
+  /// tuple-cache cut. `*update_bit` reports a Mutable-bitmap bit flip.
+  Status ApplyWrite(LogRecordType op, const TweetRecord& record, Timestamp ts,
+                    Transaction* txn, bool* update_bit)
+      REQUIRES_SHARED(ingest_mu_);
+  // The strategies' lookups of the replaced version (§3.1, §4.2, §5.2):
+  // each passes what it found, if anything, to WriteVersion.
   Status EagerUpsert(const TweetRecord& record, Timestamp ts,
                      Transaction* txn, bool is_delete)
       REQUIRES_SHARED(ingest_mu_);
@@ -507,8 +517,19 @@ class Dataset {
   Status DeletedKeyUpsert(const TweetRecord& record, Timestamp ts,
                           Transaction* txn, bool is_delete)
       REQUIRES_SHARED(ingest_mu_);
-  Status InsertIntoAll(const TweetRecord& record, Timestamp ts,
-                       Transaction* txn) REQUIRES_SHARED(ingest_mu_);
+  /// Writes every index entry of one version: anti-matter for the secondary
+  /// keys of `old` (the replaced version, if the strategy found one) that
+  /// the write changes, then the record — or a delete's anti-matter — in the
+  /// primary and primary key indexes, then the new secondary entries and
+  /// the memory range filter.
+  void WriteVersion(const TweetRecord& record, const TweetRecord* old,
+                    Timestamp ts, Transaction* txn, bool is_delete)
+      REQUIRES_SHARED(ingest_mu_);
+  /// Anti-matter for each secondary entry of `old` whose key `newer` does
+  /// not keep (all of them when `newer` is null).
+  void CancelSecondaries(const TweetRecord& old, const TweetRecord* newer,
+                         Timestamp ts, Transaction* txn)
+      REQUIRES_SHARED(ingest_mu_);
   /// Cuts every tuple-cache entry the write could have stale-served: the
   /// record's primary key (which fences all range spaces — the *old*
   /// secondary keys are unknown under the lazy strategies) plus, for
@@ -570,6 +591,11 @@ class Dataset {
   /// than O(|active memtable| log n) under the exclusive latch.
   Status FixupFlushedBitmap(const std::vector<DiskComponentPtr>& flushed)
       REQUIRES(ingest_mu_);
+  /// The §5.2 probe: if `c` holds a live version of `key` older than `ts`,
+  /// marks its bit (Corruption if `c` has no bitmap) and returns true.
+  /// Shared by FixupFlushedBitmap and ReplayBitmap.
+  Result<bool> MarkSuperseded(const DiskComponent& c, const std::string& key,
+                              Timestamp ts);
   /// Records a seal-window superseding write for the next fixup.
   void RecordBitmapFixup(const std::string& pk, Timestamp ts);
 

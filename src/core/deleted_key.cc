@@ -9,9 +9,14 @@ Status RunDeletedKeyMergePicked(
     const std::vector<DiskComponentPtr>& picked,
     const std::vector<DiskComponentPtr>& dk_picked) {
   // Per-entry point lookups against the deleted-key trees: an entry is
-  // obsolete if its primary key was re-written with a newer timestamp.
+  // obsolete if its primary key was re-written with a newer timestamp. Only
+  // their disk components count: the memory component may hold an open
+  // transaction's rewrite, and an abort after the install would leave the
+  // record without its entry. No-steal keeps uncommitted writes off disk;
+  // an entry whose rewrite is not flushed yet survives until a later merge.
   GetOptions gopts;
   gopts.use_blocked_bloom = ds->options().build_blocked_bloom;
+  gopts.search_memtable = false;
   MergeSteps steps;
   steps.entry = [&](const OwnedEntry& e, const MergeSteps::Position&,
                     bool* keep) -> Status {

@@ -5,11 +5,15 @@
 // Unlike §4.4's secondary repair this reads full records, so its cost tracks
 // the primary index size (Fig 20/21).
 #include "core/dataset.h"
-#include "format/key_codec.h"
 
 namespace auxlsm {
 
 Status Dataset::PrimaryRepair(bool with_merge) {
+  // The scan reads disk components only, so flush first: a newest version
+  // still in memory would let an older disk version pass for current, and
+  // the anti-matter for that one's keys could overwrite the newest
+  // version's live memtable entries.
+  AUXLSM_RETURN_NOT_OK(FlushAll());
   auto comps = primary_->Components();
   if (!comps.empty()) {
     // K-way scan over all versions of each key (newest component first).
@@ -46,18 +50,14 @@ Status Dataset::PrimaryRepair(bool with_merge) {
                 TweetRecord::Deserialize(iters[i].value(), &newest_record));
           }
         } else if (!iters[i].antimatter() && !bitmap_dead) {
-          // Obsolete version: clean its secondary entries.
+          // Obsolete version: clean its secondary entries. The latch keeps
+          // a concurrent seal from swallowing the anti-matter mid-write.
           TweetRecord old_record;
           AUXLSM_RETURN_NOT_OK(
               TweetRecord::Deserialize(iters[i].value(), &old_record));
-          const Timestamp ts = clock_.Tick();
-          for (auto& s : secondaries_) {
-            const std::string old_sk = s->def.extract(old_record);
-            if (newest_alive && old_sk == s->def.extract(newest_record)) {
-              continue;  // same secondary key: the newest entry subsumes it
-            }
-            s->tree->PutAntimatter(ComposeSecondaryKey(old_sk, key), ts);
-          }
+          ReadLatchGuard latch(ingest_mu_);
+          CancelSecondaries(old_record, newest_alive ? &newest_record : nullptr,
+                            clock_.Tick(), nullptr);
         }
         AUXLSM_RETURN_NOT_OK(iters[i].Next());
       }

@@ -41,34 +41,52 @@ void PutIndex(LsmTree* tree, const Slice& key, const Slice& value,
 }  // namespace
 
 Status Dataset::Insert(const TweetRecord& record, bool* inserted) {
-  return IngestOp(LogRecordType::kInsert, record, nullptr, inserted, true);
+  return IngestOp(LogRecordType::kInsert, record, nullptr, inserted);
 }
 Status Dataset::Upsert(const TweetRecord& record) {
-  return IngestOp(LogRecordType::kUpsert, record, nullptr, nullptr, true);
+  return IngestOp(LogRecordType::kUpsert, record, nullptr, nullptr);
 }
 Status Dataset::Delete(uint64_t id) {
   TweetRecord r;
   r.id = id;
-  return IngestOp(LogRecordType::kDelete, r, nullptr, nullptr, true);
+  return IngestOp(LogRecordType::kDelete, r, nullptr, nullptr);
 }
 Status Dataset::InsertTxn(const TweetRecord& record, Transaction* txn,
                           bool* inserted) {
-  return IngestOp(LogRecordType::kInsert, record, txn, inserted, true);
+  return IngestOp(LogRecordType::kInsert, record, txn, inserted);
 }
 Status Dataset::UpsertTxn(const TweetRecord& record, Transaction* txn) {
-  return IngestOp(LogRecordType::kUpsert, record, txn, nullptr, true);
+  return IngestOp(LogRecordType::kUpsert, record, txn, nullptr);
 }
 Status Dataset::DeleteTxn(uint64_t id, Transaction* txn) {
   TweetRecord r;
   r.id = id;
-  return IngestOp(LogRecordType::kDelete, r, txn, nullptr, true);
+  return IngestOp(LogRecordType::kDelete, r, txn, nullptr);
 }
 
-Status Dataset::InsertIntoAll(const TweetRecord& record, Timestamp ts,
-                              Transaction* txn) {
+void Dataset::CancelSecondaries(const TweetRecord& old,
+                                const TweetRecord* newer, Timestamp ts,
+                                Transaction* txn) {
+  const std::string pk = old.primary_key();
+  for (auto& s : secondaries_) {
+    const std::string old_sk = s->def.extract(old);
+    // Unchanged keys skip maintenance (§3.1): the new entry overrides.
+    if (newer != nullptr && old_sk == s->def.extract(*newer)) continue;
+    PutIndex(s->tree.get(), ComposeSecondaryKey(old_sk, pk), Slice(), ts,
+             true, txn);
+  }
+}
+
+void Dataset::WriteVersion(const TweetRecord& record, const TweetRecord* old,
+                           Timestamp ts, Transaction* txn, bool is_delete) {
   const std::string pk = record.primary_key();
-  PutIndex(primary_.get(), pk, record.Serialize(), ts, false, txn);
-  if (pk_index_) PutIndex(pk_index_.get(), pk, Slice(), ts, false, txn);
+  if (old != nullptr) {
+    CancelSecondaries(*old, is_delete ? nullptr : &record, ts, txn);
+  }
+  const std::string value = is_delete ? std::string() : record.Serialize();
+  PutIndex(primary_.get(), pk, value, ts, is_delete, txn);
+  if (pk_index_) PutIndex(pk_index_.get(), pk, Slice(), ts, is_delete, txn);
+  if (is_delete) return;
   for (auto& s : secondaries_) {
     PutIndex(s->tree.get(), ComposeSecondaryKey(s->def.extract(record), pk),
              Slice(), ts, false, txn);
@@ -76,115 +94,50 @@ Status Dataset::InsertIntoAll(const TweetRecord& record, Timestamp ts,
   if (options_.maintain_range_filter) {
     primary_->mem_range_filter()->Expand(record.creation_time);
   }
-  return Status::OK();
 }
 
 Status Dataset::EagerUpsert(const TweetRecord& record, Timestamp ts,
                             Transaction* txn, bool is_delete) {
-  const std::string pk = record.primary_key();
   // Point lookup to fetch the old record (§3.1).
   OwnedEntry old_entry;
   GetOptions gopts;
   gopts.use_blocked_bloom = options_.build_blocked_bloom;
-  Status st = primary_->Get(pk, &old_entry, gopts);
+  Status st = primary_->Get(record.primary_key(), &old_entry, gopts);
   stats_.ingest_point_lookups++;
-  const bool old_exists = st.ok();
-  if (!old_exists && !st.IsNotFound()) return st;
-
-  TweetRecord old_record;
-  if (old_exists) {
-    AUXLSM_RETURN_NOT_OK(TweetRecord::Deserialize(old_entry.value, &old_record));
-  }
-  if (is_delete) {
-    if (!old_exists) return Status::OK();  // deleting a missing key: ignore
-    PutIndex(primary_.get(), pk, Slice(), ts, true, txn);
-    if (pk_index_) PutIndex(pk_index_.get(), pk, Slice(), ts, true, txn);
-    for (auto& s : secondaries_) {
-      PutIndex(s->tree.get(),
-               ComposeSecondaryKey(s->def.extract(old_record), pk), Slice(),
-               ts, true, txn);
-    }
-    // Filters must reflect the deleted record, or scans could prune the
-    // memory component and resurrect it (§3.1).
-    if (options_.maintain_range_filter) {
-      primary_->mem_range_filter()->Expand(old_record.creation_time);
-    }
+  if (st.IsNotFound()) {
+    // Nothing to replace; deleting a missing key writes nothing.
+    if (!is_delete) WriteVersion(record, nullptr, ts, txn, false);
     return Status::OK();
   }
-
-  // Upsert: anti-matter for the old secondary entries, then insert anew.
-  if (old_exists) {
-    for (auto& s : secondaries_) {
-      const std::string old_sk = s->def.extract(old_record);
-      const std::string new_sk = s->def.extract(record);
-      if (old_sk != new_sk) {  // unchanged keys skip maintenance (§3.1)
-        PutIndex(s->tree.get(), ComposeSecondaryKey(old_sk, pk), Slice(), ts,
-                 true, txn);
-      }
-    }
-    if (options_.maintain_range_filter) {
-      primary_->mem_range_filter()->Expand(old_record.creation_time);
-    }
-  }
-  PutIndex(primary_.get(), pk, record.Serialize(), ts, false, txn);
-  if (pk_index_) PutIndex(pk_index_.get(), pk, Slice(), ts, false, txn);
-  for (auto& s : secondaries_) {
-    PutIndex(s->tree.get(), ComposeSecondaryKey(s->def.extract(record), pk),
-             Slice(), ts, false, txn);
-  }
+  AUXLSM_RETURN_NOT_OK(st);
+  TweetRecord old;
+  AUXLSM_RETURN_NOT_OK(TweetRecord::Deserialize(old_entry.value, &old));
+  // The filter keeps covering the replaced version, or scans could prune
+  // the memory component and resurrect it (§3.1).
   if (options_.maintain_range_filter) {
-    primary_->mem_range_filter()->Expand(record.creation_time);
+    primary_->mem_range_filter()->Expand(old.creation_time);
   }
+  WriteVersion(record, &old, ts, txn, is_delete);
   return Status::OK();
 }
 
 Status Dataset::ValidationUpsert(const TweetRecord& record, Timestamp ts,
                                  Transaction* txn, bool is_delete) {
-  const std::string pk = record.primary_key();
   // Memory-component optimization (§4.2): the memory components must be
   // searched to place the new entry anyway, so an old record found there
-  // (active or sealed) cleans the secondary indexes for free.
+  // (active or sealed) cleans the secondary indexes for free. Otherwise the
+  // write is blind, deletes included. Filters are maintained on the new
+  // record only; queries over older components compensate by also reading
+  // newer components.
   OwnedEntry mem_old;
-  const bool mem_hit = primary_->GetFromMem(pk, &mem_old).ok() &&
-                       !mem_old.antimatter;
-  TweetRecord old_record;
+  TweetRecord old;
+  const bool mem_hit =
+      primary_->GetFromMem(record.primary_key(), &mem_old).ok() &&
+      !mem_old.antimatter;
   if (mem_hit) {
-    AUXLSM_RETURN_NOT_OK(TweetRecord::Deserialize(mem_old.value, &old_record));
+    AUXLSM_RETURN_NOT_OK(TweetRecord::Deserialize(mem_old.value, &old));
   }
-
-  if (is_delete) {
-    PutIndex(primary_.get(), pk, Slice(), ts, true, txn);
-    if (pk_index_) PutIndex(pk_index_.get(), pk, Slice(), ts, true, txn);
-    if (mem_hit) {
-      for (auto& s : secondaries_) {
-        PutIndex(s->tree.get(),
-                 ComposeSecondaryKey(s->def.extract(old_record), pk), Slice(),
-                 ts, true, txn);
-      }
-    }
-    return Status::OK();
-  }
-
-  if (mem_hit) {
-    for (auto& s : secondaries_) {
-      const std::string old_sk = s->def.extract(old_record);
-      if (old_sk != s->def.extract(record)) {
-        PutIndex(s->tree.get(), ComposeSecondaryKey(old_sk, pk), Slice(), ts,
-                 true, txn);
-      }
-    }
-  }
-  PutIndex(primary_.get(), pk, record.Serialize(), ts, false, txn);
-  if (pk_index_) PutIndex(pk_index_.get(), pk, Slice(), ts, false, txn);
-  for (auto& s : secondaries_) {
-    PutIndex(s->tree.get(), ComposeSecondaryKey(s->def.extract(record), pk),
-             Slice(), ts, false, txn);
-  }
-  // Filters are maintained on the new record only (§4.2); queries over older
-  // components compensate by also reading newer components.
-  if (options_.maintain_range_filter) {
-    primary_->mem_range_filter()->Expand(record.creation_time);
-  }
+  WriteVersion(record, mem_hit ? &old : nullptr, ts, txn, is_delete);
   return Status::OK();
 }
 
@@ -204,7 +157,6 @@ Status Dataset::DeletedKeyUpsert(const TweetRecord& record, Timestamp ts,
 Status Dataset::MutableBitmapUpsert(const TweetRecord& record, Timestamp ts,
                                     Transaction* txn, bool is_delete,
                                     bool* update_bit) {
-  *update_bit = false;
   const std::string pk = record.primary_key();
   LsmTree* finder = pk_index_ ? pk_index_.get() : primary_.get();
 
@@ -212,16 +164,21 @@ Status Dataset::MutableBitmapUpsert(const TweetRecord& record, Timestamp ts,
   LookupResult res;
   GetOptions gopts;
   gopts.use_blocked_bloom = options_.build_blocked_bloom;
-  gopts.respect_bitmaps = true;
   AUXLSM_RETURN_NOT_OK(finder->GetRaw(pk, &res, gopts));
   stats_.ingest_point_lookups++;
+  const bool live = res.found && !res.entry.antimatter;
+  if (is_delete && !live) return Status::OK();
 
-  const bool old_in_disk = res.found && !res.entry.antimatter &&
-                           !res.from_memtable && res.component != nullptr;
-  const bool old_in_mem = res.found && !res.entry.antimatter &&
-                          res.from_memtable;
-  if (is_delete && !res.found) return Status::OK();
-  if (is_delete && res.entry.antimatter) return Status::OK();
+  // The memory-component optimization applies as under Validation. Read the
+  // old version before the first effect, so a bad record fails the op whole.
+  OwnedEntry mem_old;
+  TweetRecord old;
+  const bool mem_hit = live && res.from_memtable &&
+                       primary_->GetFromMem(pk, &mem_old).ok() &&
+                       !mem_old.antimatter;
+  if (mem_hit) {
+    AUXLSM_RETURN_NOT_OK(TweetRecord::Deserialize(mem_old.value, &old));
+  }
 
   // Old version live in a *sealed* memtable: this write supersedes an entry
   // that is being flushed right now and will surface as valid in the new
@@ -230,7 +187,7 @@ Status Dataset::MutableBitmapUpsert(const TweetRecord& record, Timestamp ts,
   // memtable under the exclusive latch). An old version in the *active*
   // memtable needs nothing — both versions flush together and reconcile —
   // and one on disk had its bit flipped directly below.
-  if (old_in_mem && res.from_sealed) {
+  if (live && res.from_sealed) {
     RecordBitmapFixup(pk, ts);
     if (txn != nullptr) {
       // An abort must retract the recorded supersession, or the install-time
@@ -248,7 +205,8 @@ Status Dataset::MutableBitmapUpsert(const TweetRecord& record, Timestamp ts,
     }
   }
 
-  if (old_in_disk && res.component->bitmap() != nullptr) {
+  if (live && !res.from_memtable && res.component != nullptr &&
+      res.component->bitmap() != nullptr) {
     // Mark the old version deleted directly in the disk component.
     const uint64_t ordinal = res.ordinal;
     auto bitmap = res.component->bitmap();
@@ -268,54 +226,47 @@ Status Dataset::MutableBitmapUpsert(const TweetRecord& record, Timestamp ts,
     }
   }
 
-  // The memory-component optimization applies as under Validation.
-  OwnedEntry mem_old;
-  TweetRecord old_record;
-  const bool mem_hit = old_in_mem &&
-                       primary_->GetFromMem(pk, &mem_old).ok() &&
-                       !mem_old.antimatter &&
-                       TweetRecord::Deserialize(mem_old.value, &old_record).ok();
-
-  if (is_delete) {
-    // Anti-matter keeps LSM semantics intact and lets Validation-maintained
-    // secondaries validate against recently ingested keys (§5.2).
-    PutIndex(primary_.get(), pk, Slice(), ts, true, txn);
-    if (pk_index_) PutIndex(pk_index_.get(), pk, Slice(), ts, true, txn);
-    if (mem_hit) {
-      for (auto& s : secondaries_) {
-        PutIndex(s->tree.get(),
-                 ComposeSecondaryKey(s->def.extract(old_record), pk), Slice(),
-                 ts, true, txn);
-      }
-    }
-    return Status::OK();
-  }
-
-  if (mem_hit) {
-    for (auto& s : secondaries_) {
-      const std::string old_sk = s->def.extract(old_record);
-      if (old_sk != s->def.extract(record)) {
-        PutIndex(s->tree.get(), ComposeSecondaryKey(old_sk, pk), Slice(), ts,
-                 true, txn);
-      }
-    }
-  }
-  PutIndex(primary_.get(), pk, record.Serialize(), ts, false, txn);
-  if (pk_index_) PutIndex(pk_index_.get(), pk, Slice(), ts, false, txn);
-  for (auto& s : secondaries_) {
-    PutIndex(s->tree.get(), ComposeSecondaryKey(s->def.extract(record), pk),
-             Slice(), ts, false, txn);
-  }
-  // Filters are maintained on the new record only — the bitmap already
-  // reflects the old record's deletion, so no widening is needed (§5.2).
-  if (options_.maintain_range_filter) {
-    primary_->mem_range_filter()->Expand(record.creation_time);
-  }
+  // Anti-matter keeps LSM semantics intact and lets Validation-maintained
+  // secondaries validate against recently ingested keys. Filters are
+  // maintained on the new record only — the bitmap already reflects the old
+  // record's deletion, so no widening is needed (§5.2).
+  WriteVersion(record, mem_hit ? &old : nullptr, ts, txn, is_delete);
   return Status::OK();
 }
 
+Status Dataset::ApplyWrite(LogRecordType op, const TweetRecord& record,
+                           Timestamp ts, Transaction* txn, bool* update_bit) {
+  *update_bit = false;
+  const bool is_delete = op == LogRecordType::kDelete;
+  Status st;
+  if (op == LogRecordType::kInsert) {
+    // The key passed its uniqueness check (redo: the original op did), so
+    // there is no version to replace.
+    WriteVersion(record, nullptr, ts, txn, false);
+  } else {
+    switch (options_.strategy) {
+      case MaintenanceStrategy::kEager:
+        st = EagerUpsert(record, ts, txn, is_delete);
+        break;
+      case MaintenanceStrategy::kValidation:
+        st = ValidationUpsert(record, ts, txn, is_delete);
+        break;
+      case MaintenanceStrategy::kMutableBitmap:
+        st = MutableBitmapUpsert(record, ts, txn, is_delete, update_bit);
+        break;
+      case MaintenanceStrategy::kDeletedKeyBtree:
+        st = DeletedKeyUpsert(record, ts, txn, is_delete);
+        break;
+    }
+  }
+  // The write's memtable effects are visible; invalidate under the shared
+  // ingest latch so the cut cannot be reordered past a seal.
+  if (st.ok()) InvalidateTupleCache(record, op);
+  return st;
+}
+
 Status Dataset::IngestOp(LogRecordType op, const TweetRecord& record,
-                         Transaction* txn, bool* inserted, bool log_to_wal) {
+                         Transaction* txn, bool* inserted) {
   // Degraded read-only mode: maintenance exhausted its retry budget (or hit
   // a permanent error), so ingest fails fast with the sticky cause while
   // reads keep serving the installed components. TakeBackgroundError()
@@ -374,7 +325,6 @@ Status Dataset::IngestOp(LogRecordType op, const TweetRecord& record,
       owns_txn && options_.fault_injector == nullptr ? nullptr : txn;
 
   const Timestamp ts = clock_.Tick();
-  bool update_bit = false;
 
   // Tuple-cache rollback handling. An abort restores old values whose cache
   // positions — the record's *old* secondary keys — are unknown here in
@@ -390,7 +340,7 @@ Status Dataset::IngestOp(LogRecordType op, const TweetRecord& record,
   }
 
   // Write fence: in flight from before the first memtable effect until
-  // after the cut below. The effect can be visible to a reader before the
+  // after ApplyWrite's cut. The effect can be visible to a reader before the
   // cut runs; the fence keeps that reader's (pre-effect) snapshot out of
   // the cache even though its captured epoch is still current.
   TupleCacheWriteFence cache_fence(tuple_cache_.get());
@@ -411,58 +361,37 @@ Status Dataset::IngestOp(LogRecordType op, const TweetRecord& record,
       return Status::OK();
     }
     if (!st.IsNotFound()) return st;
-    AUXLSM_RETURN_NOT_OK(InsertIntoAll(record, ts, undo_txn));
+  }
+  bool update_bit = false;
+  AUXLSM_RETURN_NOT_OK(ApplyWrite(op, record, ts, undo_txn, &update_bit));
+  if (op == LogRecordType::kInsert) {
     if (inserted != nullptr) *inserted = true;
     stats_.inserts++;
+  } else if (op == LogRecordType::kDelete) {
+    stats_.deletes++;
   } else {
-    const bool is_delete = op == LogRecordType::kDelete;
-    switch (options_.strategy) {
-      case MaintenanceStrategy::kEager:
-        AUXLSM_RETURN_NOT_OK(EagerUpsert(record, ts, undo_txn, is_delete));
-        break;
-      case MaintenanceStrategy::kValidation:
-        AUXLSM_RETURN_NOT_OK(ValidationUpsert(record, ts, undo_txn, is_delete));
-        break;
-      case MaintenanceStrategy::kMutableBitmap:
-        AUXLSM_RETURN_NOT_OK(
-            MutableBitmapUpsert(record, ts, undo_txn, is_delete, &update_bit));
-        break;
-      case MaintenanceStrategy::kDeletedKeyBtree:
-        AUXLSM_RETURN_NOT_OK(DeletedKeyUpsert(record, ts, undo_txn, is_delete));
-        break;
-    }
-    if (is_delete) {
-      stats_.deletes++;
-    } else {
-      stats_.upserts++;
-    }
+    stats_.upserts++;
   }
 
-  // The write's memtable effects are visible; invalidate under the shared
-  // ingest latch so the cut cannot be reordered past a seal.
-  InvalidateTupleCache(record, op);
-
-  if (log_to_wal && options_.enable_wal) {
-    LogRecord r;
-    r.type = op;
-    r.key = pk;
-    if (op != LogRecordType::kDelete) r.value = record.Serialize();
-    r.ts = ts;
-    r.update_bit = update_bit;
-    if (txn->Log(std::move(r)) == kInvalidLsn) {
-      // The WAL dropped the operation record (fault injection / crash): the
-      // op can never be durable. Abort the transaction — its undo closures
-      // remove the memtable effects — and surface the injector's parked
-      // error. A transaction with a hole in its log must not commit: its
-      // other records would replay while this op silently vanished.
-      txn->Abort();
-      Status parked;
-      if (options_.fault_injector != nullptr) {
-        parked = options_.fault_injector->TakePending();
-      }
-      return parked.ok() ? Status::IOError("wal dropped the log record")
-                         : parked;
+  LogRecord r;
+  r.type = op;
+  r.key = pk;
+  if (op != LogRecordType::kDelete) r.value = record.Serialize();
+  r.ts = ts;
+  r.update_bit = update_bit;
+  if (txn->Log(std::move(r)) == kInvalidLsn) {
+    // The WAL dropped the operation record (fault injection / crash): the
+    // op can never be durable. Abort the transaction — its undo closures
+    // remove the memtable effects — and surface the injector's parked
+    // error. A transaction with a hole in its log must not commit: its
+    // other records would replay while this op silently vanished.
+    txn->Abort();
+    Status parked;
+    if (options_.fault_injector != nullptr) {
+      parked = options_.fault_injector->TakePending();
     }
+    return parked.ok() ? Status::IOError("wal dropped the log record")
+                       : parked;
   }
   if (owns_txn) {
     const Status cs = txn->Commit();
@@ -481,40 +410,21 @@ Status Dataset::IngestOp(LogRecordType op, const TweetRecord& record,
   return Status::OK();
 }
 
-Status Dataset::ReplayOp(const LogRecord& r, const TweetRecord& record) {
+Status Dataset::ReplayOp(const LogRecord& r) {
+  TweetRecord record;
+  if (r.type == LogRecordType::kDelete) {
+    record.id = DecodeU64(r.key);
+  } else {
+    AUXLSM_RETURN_NOT_OK(TweetRecord::Deserialize(r.value, &record));
+  }
   // Replay runs single-threaded before the dataset is opened for traffic,
-  // but the strategy helpers require the shared ingest latch — acquiring it
-  // here (uncontended, a few atomics) keeps their contract uniform instead
+  // but the write path requires the shared ingest latch — acquiring it
+  // here (uncontended, a few atomics) keeps its contract uniform instead
   // of punching a recovery-only hole through the annotations.
   ReadLatchGuard replay_latch(ingest_mu_);
   clock_.AdvanceTo(r.ts);
   bool update_bit = false;
-  Status st;
-  if (r.type == LogRecordType::kInsert) {
-    // Inserts passed their uniqueness check originally; redo blindly.
-    st = InsertIntoAll(record, r.ts, nullptr);
-  } else {
-    const bool is_delete = r.type == LogRecordType::kDelete;
-    switch (options_.strategy) {
-      case MaintenanceStrategy::kEager:
-        st = EagerUpsert(record, r.ts, nullptr, is_delete);
-        break;
-      case MaintenanceStrategy::kValidation:
-        st = ValidationUpsert(record, r.ts, nullptr, is_delete);
-        break;
-      case MaintenanceStrategy::kMutableBitmap:
-        st = MutableBitmapUpsert(record, r.ts, nullptr, is_delete,
-                                 &update_bit);
-        break;
-      case MaintenanceStrategy::kDeletedKeyBtree:
-        st = DeletedKeyUpsert(record, r.ts, nullptr, is_delete);
-        break;
-    }
-  }
-  // Defensive: recovery normally precedes reads, but a cache created before
-  // replay must not serve pre-replay outcomes.
-  if (st.ok()) InvalidateTupleCache(record, r.type);
-  return st;
+  return ApplyWrite(r.type, record, r.ts, nullptr, &update_bit);
 }
 
 Status Dataset::ReplayBitmap(const LogRecord& r) {
@@ -523,25 +433,8 @@ Status Dataset::ReplayBitmap(const LogRecord& r) {
   // crash — bitmaps are no-steal/no-force with checkpoints, §5.2).
   LsmTree* finder = pk_index_ ? pk_index_.get() : primary_.get();
   for (const auto& c : finder->Components()) {
-    LeafEntry entry;
-    std::string backing;
-    uint64_t ordinal = 0;
-    Status st = c->tree().GetWithOrdinal(r.key, &entry, &backing, &ordinal);
-    if (st.IsNotFound()) continue;
-    AUXLSM_RETURN_NOT_OK(st);
-    if (entry.ts >= r.ts || entry.antimatter) continue;  // not the old version
-    if (c->bitmap() == nullptr) {
-      // The log says this component's version was superseded (update bit),
-      // but the recovered component cannot record it — returning OK here
-      // would silently resurrect the old version. Under the Mutable-bitmap
-      // strategy every primary/pk component carries a bitmap, so a missing
-      // one means the checkpointed catalog and the log disagree.
-      return Status::Corruption(
-          "bitmap redo for '" + r.key + "' targets component without bitmap");
-    }
-    c->bitmap()->Set(ordinal);
-    if (tuple_cache_) tuple_cache_->InvalidatePk(r.key);
-    return Status::OK();
+    AUXLSM_ASSIGN_OR_RETURN(const bool marked, MarkSuperseded(*c, r.key, r.ts));
+    if (marked) return Status::OK();
   }
   return Status::OK();
 }

@@ -50,7 +50,6 @@ obs::MetricsSnapshot Dataset::MetricsSnapshot() {
         double(mstats_.degraded_transitions.load()));
   s.Set("dataset.degraded", health() == DatasetHealth::kDegraded ? 1 : 0);
   s.Set("dataset.mem_component_bytes", double(MemComponentBytes()));
-  s.Set("dataset.records", double(num_records()));
 
   // WAL counters + live group-commit backlog.
   const WalStats ws = wal_.wal_stats();

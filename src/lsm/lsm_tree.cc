@@ -173,7 +173,6 @@ Status LsmTree::GetRaw(const Slice& key, LookupResult* out,
   }
   const uint64_t h = Hash64(key);
   for (const auto& c : Components()) {
-    if (c->id().max_ts < opts.min_component_ts) continue;
     if (!c->MayContain(h, opts.use_blocked_bloom)) continue;
     LeafEntry entry;
     std::string backing;
@@ -181,7 +180,7 @@ Status LsmTree::GetRaw(const Slice& key, LookupResult* out,
     Status st = c->tree().GetWithOrdinal(key, &entry, &backing, &ordinal);
     if (st.IsNotFound()) continue;
     AUXLSM_RETURN_NOT_OK(st);
-    if (opts.respect_bitmaps && !c->EntryValid(ordinal)) {
+    if (!c->EntryValid(ordinal)) {
       // The newest physical entry is marked deleted; the key is gone.
       return Status::OK();
     }

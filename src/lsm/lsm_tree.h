@@ -64,11 +64,7 @@ struct LookupResult {
 
 struct GetOptions {
   bool use_blocked_bloom = false;
-  /// Treat bitmap-invalid entries as absent.
-  bool respect_bitmaps = true;
-  /// Skip disk components whose max_ts < min_component_ts (component-ID
-  /// propagation, "pID" in §6.2).
-  Timestamp min_component_ts = 0;
+  /// False: search the disk components only.
   bool search_memtable = true;
 };
 
@@ -170,6 +166,7 @@ class LsmTree {
 
   /// Raw lookup: returns the newest entry including anti-matter, with its
   /// location (used by maintenance code and the Mutable-bitmap strategy).
+  /// A newest entry its component's bitmap marks deleted is not found.
   Status GetRaw(const Slice& key, LookupResult* out,
                 const GetOptions& opts = GetOptions()) const;
 

@@ -8,6 +8,7 @@
 
 #include "common/random.h"
 #include "core/dataset.h"
+#include "format/key_codec.h"
 #include "workload/tweet_gen.h"
 
 namespace auxlsm {
@@ -260,6 +261,143 @@ TEST_P(StrategyTest, FullScanMatchesSecondaryQuery) {
   ASSERT_TRUE(ds.FullScanUserRange(0, 4, &scan).ok());
   EXPECT_EQ(scan.records_matched, res.records.size());
   EXPECT_EQ(scan.records_scanned, 250u);
+}
+
+// --- The write rule (§3.1, §4.2, §5.2) ------------------------------------
+// Every strategy writes one version the same way: anti-matter for the
+// secondary keys of the version it replaces that change, the record (or a
+// delete's anti-matter) in the primary and primary key indexes, then the new
+// secondary entries. The strategies differ only in how they find the
+// replaced version — Eager by a primary lookup, Validation and Deleted-key
+// in the memory component only, Mutable-bitmap through the primary key
+// index plus a bit flip — and in what the range filter keeps covering.
+
+/// One tree's memory entries in key order: "<pk>+" live or "<pk>-"
+/// anti-matter; secondary entries print "<user>/<pk>".
+std::string MemEntries(LsmTree* tree, bool secondary) {
+  std::string out;
+  for (const OwnedEntry& e : tree->MemSnapshot()) {
+    if (!out.empty()) out += ",";
+    Slice sk, pk = e.key;
+    if (secondary) {
+      SplitSecondaryKey(e.key, sizeof(uint64_t), &sk, &pk);
+      out += std::to_string(DecodeU64(sk)) + "/";
+    }
+    out += std::to_string(DecodeU64(pk)) + (e.antimatter ? "-" : "+");
+  }
+  return out;
+}
+
+/// What one write left behind: every tree's memory entries, the primary
+/// memory component's range filter and, under Mutable-bitmap, the set bits.
+std::string WriteEffects(Dataset* ds) {
+  const SecondaryIndex* index = ds->secondary(0);
+  std::string out = "primary=" + MemEntries(ds->primary(), false) +
+                    " pk=" + MemEntries(ds->primary_key_index(), false) +
+                    " user_id=" + MemEntries(index->tree.get(), true);
+  if (index->deleted_keys != nullptr) {
+    out += " deleted=" + MemEntries(index->deleted_keys.get(), false);
+  }
+  const RangeFilter* f = ds->primary()->mem_range_filter();
+  out += " filter=" + (f->has_value() ? std::to_string(f->min()) + ".." +
+                                            std::to_string(f->max())
+                                      : std::string("none"));
+  if (ds->options().strategy == MaintenanceStrategy::kMutableBitmap) {
+    uint64_t bits = 0;
+    for (const auto& c : ds->primary()->Components()) {
+      bits += c->bitmap()->CountSet();
+    }
+    out += " bits=" + std::to_string(bits);
+  }
+  return out;
+}
+
+struct WriteRuleCase {
+  const char* name;
+  /// The version the write replaces: pk 1, user 5, creation_time 100.
+  enum { kMissing, kOnDisk, kInMemory } old;
+  /// The write, on pk 1 with creation_time 200 (user ignored by deletes).
+  enum { kInsert, kUpsert, kDelete } op;
+  uint64_t user;
+  /// WriteEffects() per strategy, in MaintenanceStrategy order: Eager,
+  /// Validation, Mutable-bitmap, Deleted-key.
+  const char* expected[4];
+};
+
+const WriteRuleCase kWriteRuleCases[] = {
+    {"insert", WriteRuleCase::kMissing, WriteRuleCase::kInsert, 7,
+     {"primary=1+ pk=1+ user_id=7/1+ filter=200..200",
+      "primary=1+ pk=1+ user_id=7/1+ filter=200..200",
+      "primary=1+ pk=1+ user_id=7/1+ filter=200..200 bits=0",
+      "primary=1+ pk=1+ user_id=7/1+ deleted= filter=200..200"}},
+    // Only Eager finds a version on disk, and its filter keeps covering it.
+    {"upsert, new user, old on disk", WriteRuleCase::kOnDisk,
+     WriteRuleCase::kUpsert, 7,
+     {"primary=1+ pk=1+ user_id=5/1-,7/1+ filter=100..200",
+      "primary=1+ pk=1+ user_id=7/1+ filter=200..200",
+      "primary=1+ pk=1+ user_id=7/1+ filter=200..200 bits=1",
+      "primary=1+ pk=1+ user_id=7/1+ deleted=1+ filter=200..200"}},
+    {"upsert, same user, old in memory", WriteRuleCase::kInMemory,
+     WriteRuleCase::kUpsert, 5,
+     {"primary=1+ pk=1+ user_id=5/1+ filter=100..200",
+      "primary=1+ pk=1+ user_id=5/1+ filter=100..200",
+      "primary=1+ pk=1+ user_id=5/1+ filter=100..200 bits=0",
+      "primary=1+ pk=1+ user_id=5/1+ deleted=1+ filter=100..200"}},
+    {"upsert, new user, old in memory", WriteRuleCase::kInMemory,
+     WriteRuleCase::kUpsert, 7,
+     {"primary=1+ pk=1+ user_id=5/1-,7/1+ filter=100..200",
+      "primary=1+ pk=1+ user_id=5/1-,7/1+ filter=100..200",
+      "primary=1+ pk=1+ user_id=5/1-,7/1+ filter=100..200 bits=0",
+      "primary=1+ pk=1+ user_id=5/1-,7/1+ deleted=1+ filter=100..200"}},
+    {"delete, live on disk", WriteRuleCase::kOnDisk, WriteRuleCase::kDelete, 0,
+     {"primary=1- pk=1- user_id=5/1- filter=100..100",
+      "primary=1- pk=1- user_id= filter=none",
+      "primary=1- pk=1- user_id= filter=none bits=1",
+      "primary=1- pk=1- user_id= deleted=1+ filter=none"}},
+    {"delete, live in memory", WriteRuleCase::kInMemory,
+     WriteRuleCase::kDelete, 0,
+     {"primary=1- pk=1- user_id=5/1- filter=100..100",
+      "primary=1- pk=1- user_id=5/1- filter=100..100",
+      "primary=1- pk=1- user_id=5/1- filter=100..100 bits=0",
+      "primary=1- pk=1- user_id=5/1- deleted=1+ filter=100..100"}},
+    // Eager and Mutable-bitmap look the key up and write nothing; the blind
+    // strategies write anti-matter anyway.
+    {"delete, missing key", WriteRuleCase::kMissing, WriteRuleCase::kDelete, 0,
+     {"primary= pk= user_id= filter=none",
+      "primary=1- pk=1- user_id= filter=none",
+      "primary= pk= user_id= filter=none bits=0",
+      "primary=1- pk=1- user_id= deleted=1+ filter=none"}},
+};
+
+TEST_P(StrategyTest, WriteRuleTable) {
+  for (const WriteRuleCase& c : kWriteRuleCases) {
+    SCOPED_TRACE(c.name);
+    Env env(TestEnv());
+    DatasetOptions o = BaseOptions(GetParam());
+    o.mem_budget_bytes = 1 << 30;
+    Dataset ds(&env, o);
+    if (c.old != WriteRuleCase::kMissing) {
+      ASSERT_TRUE(ds.Upsert(MakeTweet(1, 5, 100)).ok());
+      if (c.old == WriteRuleCase::kOnDisk) {
+        ASSERT_TRUE(ds.FlushAll().ok());
+      }
+    }
+    switch (c.op) {
+      case WriteRuleCase::kInsert: {
+        bool inserted = false;
+        ASSERT_TRUE(ds.Insert(MakeTweet(1, c.user, 200), &inserted).ok());
+        ASSERT_TRUE(inserted);
+        break;
+      }
+      case WriteRuleCase::kUpsert:
+        ASSERT_TRUE(ds.Upsert(MakeTweet(1, c.user, 200)).ok());
+        break;
+      case WriteRuleCase::kDelete:
+        ASSERT_TRUE(ds.Delete(1).ok());
+        break;
+    }
+    EXPECT_EQ(WriteEffects(&ds), c.expected[static_cast<int>(GetParam())]);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -274,21 +274,6 @@ TEST(LsmTreeTest, GetRawReportsOrdinalForBitmaps) {
   res.component->bitmap()->Set(res.ordinal);
   OwnedEntry e;
   EXPECT_TRUE(tree.Get(EncodeU64(7), &e).IsNotFound());
-  GetOptions ignore_bitmaps;
-  ignore_bitmaps.respect_bitmaps = false;
-  ASSERT_TRUE(tree.Get(EncodeU64(7), &e, ignore_bitmaps).ok());
-}
-
-TEST(LsmTreeTest, ComponentIdPruningSkipsOldComponents) {
-  Env env(TestEnv());
-  LsmTree tree(&env, TreeOpts());
-  tree.Put(EncodeU64(1), "old", 1);
-  ASSERT_TRUE(tree.Flush().ok());
-  GetOptions opts;
-  opts.min_component_ts = 100;  // both flushed components are older
-  LookupResult res;
-  ASSERT_TRUE(tree.GetRaw(EncodeU64(1), &res, opts).ok());
-  EXPECT_FALSE(res.found);
 }
 
 TEST(LsmTreeTest, PickedMergeFollowsPolicy) {

@@ -448,7 +448,7 @@ TEST(DatasetObsTest, MetricsSnapshotFoldsEverySubsystem) {
   EXPECT_GT(s.values.at("io.storage.simulated_us"), 0.0);
   EXPECT_GE(s.values.at("io.log.simulated_us"), 0.0);
   EXPECT_DOUBLE_EQ(s.values.at("dataset.degraded"), 0.0);
-  EXPECT_DOUBLE_EQ(s.values.at("dataset.records"), 2999.0);
+  EXPECT_EQ(ds.num_records(), 2999u);
   // Live backlog gauges (satellite): per-tree + WAL + exec.
   EXPECT_EQ(s.values.count("wal.commit_waiters"), 1u);
   EXPECT_EQ(s.values.count("wal.unsynced_records"), 1u);
@@ -492,6 +492,28 @@ TEST(DatasetObsTest, MetricsSnapshotFoldsEverySubsystem) {
   EXPECT_TRUE(saw_build);
   EXPECT_TRUE(saw_install);
   EXPECT_TRUE(saw_op);
+}
+
+// Observation never charges the modeled clock: a snapshot, or its dump,
+// reads no pages, so the device and page-cache counters stay where they
+// were even when the primary index outgrows the cache.
+TEST(DatasetObsTest, SnapshotReadsNoPages) {
+  EnvOptions eo;
+  eo.cache_pages = 16;
+  Env env(eo);
+  Dataset ds(&env, SmallOptions(MaintenanceStrategy::kEager));
+  RunWorkload(&env, &ds);
+  const IoStats io0 = env.stats();
+  const BufferCacheStats bc0 = env.cache()->stats();
+  ds.MetricsSnapshot();
+  ds.DebugString();
+  const IoStats io1 = env.stats();
+  const BufferCacheStats bc1 = env.cache()->stats();
+  EXPECT_EQ(io1.pages_read, io0.pages_read);
+  EXPECT_DOUBLE_EQ(io1.simulated_us, io0.simulated_us);
+  EXPECT_EQ(bc1.hits, bc0.hits);
+  EXPECT_EQ(bc1.misses, bc0.misses);
+  EXPECT_EQ(bc1.evictions, bc0.evictions);
 }
 
 TEST(DatasetObsTest, SnapshotJsonRoundTripsThroughFile) {

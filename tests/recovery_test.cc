@@ -3,7 +3,12 @@
 // rebuild an equivalent dataset by replaying committed work.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <map>
+#include <tuple>
+
 #include "common/coding.h"
+#include "common/random.h"
 #include "core/dataset.h"
 
 namespace auxlsm {
@@ -104,11 +109,118 @@ TEST_P(RecoveryStrategyTest, UncommittedTxnNotReplayed) {
   EXPECT_TRUE((*recovered)->GetById(2, &r).IsNotFound());
 }
 
+/// What redo must rebuild exactly: one tree's memory entries (key, value,
+/// ts, anti-matter) and its disk components' bitmaps (empty: none).
+struct TreeWriteState {
+  std::string name;
+  std::vector<std::tuple<std::string, std::string, Timestamp, bool>> mem;
+  std::vector<std::vector<uint64_t>> bitmaps;
+  bool operator==(const TreeWriteState&) const = default;
+};
+
+std::vector<TreeWriteState> WriteState(Dataset* ds) {
+  std::vector<LsmTree*> trees = {ds->primary(), ds->primary_key_index()};
+  for (const auto& s : ds->secondaries()) {
+    trees.push_back(s->tree.get());
+    if (s->deleted_keys != nullptr) trees.push_back(s->deleted_keys.get());
+  }
+  std::vector<TreeWriteState> out;
+  for (LsmTree* t : trees) {
+    TreeWriteState st;
+    st.name = t->name();
+    for (const OwnedEntry& e : t->MemSnapshot()) {
+      st.mem.emplace_back(e.key, e.value, e.ts, e.antimatter);
+    }
+    for (const auto& c : t->Components()) {
+      st.bitmaps.push_back(c->bitmap() != nullptr ? c->bitmap()->Words()
+                                                  : std::vector<uint64_t>{});
+    }
+    out.push_back(std::move(st));
+  }
+  return out;
+}
+
+std::tuple<bool, uint64_t, uint64_t> MemFilter(Dataset* ds) {
+  const RangeFilter* f = ds->primary()->mem_range_filter();
+  return {f->has_value(), f->min(), f->max()};
+}
+
+// Redo runs the same write path as the original ops, so after a crash every
+// tree's memory component, every bitmap and the memory range filter come
+// back exactly as they were — across upserts that change or keep the user,
+// inserts (duplicates too) and deletes (missing keys too).
+TEST_P(RecoveryStrategyTest, RedoRebuildsTheWriteStateExactly) {
+  Env env(TestEnv());
+  Wal shared_wal;
+  DatasetCatalog catalog;
+  std::vector<TreeWriteState> before;
+  std::tuple<bool, uint64_t, uint64_t> filter_before;
+  {
+    Dataset ds(&env, Opts(GetParam()));
+    std::map<uint64_t, uint64_t> users;  // live id -> user
+    uint64_t time = 0;
+    for (uint64_t id = 1; id <= 80; id++) {
+      ASSERT_TRUE(ds.Upsert(MakeTweet(id, id % 10, ++time)).ok());
+      users[id] = id % 10;
+    }
+    ASSERT_TRUE(ds.FlushAll().ok());
+    catalog = ds.Checkpoint();
+    Random rng(18);
+    for (int i = 0; i < 600; i++) {
+      const uint64_t id = 1 + rng.Uniform(120);
+      const double dice = rng.NextDouble();
+      const auto it = users.find(id);
+      if (dice < 0.2) {
+        ASSERT_TRUE(ds.Delete(id).ok());
+        users.erase(id);
+      } else if (dice < 0.4) {
+        const uint64_t user = rng.Uniform(10);
+        bool inserted = false;
+        ASSERT_TRUE(ds.Insert(MakeTweet(id, user, ++time), &inserted).ok());
+        ASSERT_EQ(inserted, it == users.end());
+        if (inserted) users[id] = user;
+      } else if (dice < 0.6 && it != users.end()) {
+        ASSERT_TRUE(ds.Upsert(MakeTweet(id, it->second, ++time)).ok());
+      } else {
+        const uint64_t user = rng.Uniform(10);
+        ASSERT_TRUE(ds.Upsert(MakeTweet(id, user, ++time)).ok());
+        users[id] = user;
+      }
+    }
+    before = WriteState(&ds);
+    filter_before = MemFilter(&ds);
+    for (const auto& r : ds.wal()->ReadFrom(kInvalidLsn)) {
+      shared_wal.Append(r);
+    }
+  }
+  if (GetParam() == MaintenanceStrategy::kMutableBitmap) {
+    // The checkpointed bitmaps are clear; redo must set the flipped bits.
+    uint64_t set = 0;
+    for (const auto& words : before[0].bitmaps) {
+      for (uint64_t w : words) set += std::popcount(w);
+    }
+    EXPECT_GT(set, 0u);
+  }
+  auto recovered =
+      Dataset::Recover(&env, &shared_wal, catalog, Opts(GetParam()), nullptr);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  const std::vector<TreeWriteState> after = WriteState(recovered->get());
+  ASSERT_EQ(after.size(), before.size());
+  for (size_t i = 0; i < before.size(); i++) {
+    SCOPED_TRACE(before[i].name);
+    EXPECT_FALSE(before[i].mem.empty());
+    EXPECT_EQ(after[i].mem, before[i].mem);
+    EXPECT_EQ(after[i].bitmaps, before[i].bitmaps);
+  }
+  EXPECT_EQ(MemFilter(recovered->get()), filter_before);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Strategies, RecoveryStrategyTest,
     ::testing::Values(MaintenanceStrategy::kEager,
                       MaintenanceStrategy::kValidation,
-                      MaintenanceStrategy::kMutableBitmap),
+                      MaintenanceStrategy::kMutableBitmap,
+                      MaintenanceStrategy::kDeletedKeyBtree),
     [](const ::testing::TestParamInfo<MaintenanceStrategy>& info) {
       std::string name = StrategyName(info.param);
       for (auto& c : name) {

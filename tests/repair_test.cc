@@ -264,6 +264,43 @@ TEST(PrimaryRepairTest, WithMergeKeepsThePairsSharedBitmap) {
   EXPECT_EQ(scan.records_matched, 400u);
 }
 
+uint64_t RowsForUser(Dataset* ds, uint64_t user) {
+  auto cursor = ds->NewCursor(Query().Secondary("user_id").Range(user, user));
+  EXPECT_TRUE(cursor.ok());
+  QueryResult res;
+  EXPECT_TRUE((*cursor)->Drain(&res).ok());
+  return res.records.size();
+}
+
+// DELI's scan reads disk components only, so it flushes first. Otherwise,
+// with a key's newest version still in memory, the newest *disk* version
+// passes for current, and the anti-matter for the older versions' keys
+// overwrites the unflushed version's live secondary entry.
+TEST(PrimaryRepairTest, UnflushedNewestVersionKeepsItsEntries) {
+  for (MaintenanceStrategy s :
+       {MaintenanceStrategy::kEager, MaintenanceStrategy::kValidation,
+        MaintenanceStrategy::kMutableBitmap,
+        MaintenanceStrategy::kDeletedKeyBtree}) {
+    for (bool with_merge : {false, true}) {
+      SCOPED_TRACE(std::string(StrategyName(s)) +
+                   (with_merge ? " with merge" : ""));
+      Env env(TestEnv());
+      DatasetOptions o;
+      o.strategy = s;
+      o.mem_budget_bytes = 1 << 30;
+      Dataset ds(&env, o);
+      ASSERT_TRUE(ds.Upsert(MakeTweet(1, 10, 1)).ok());
+      ASSERT_TRUE(ds.FlushAll().ok());
+      ASSERT_TRUE(ds.Upsert(MakeTweet(1, 20, 2)).ok());
+      ASSERT_TRUE(ds.FlushAll().ok());
+      ASSERT_TRUE(ds.Upsert(MakeTweet(1, 10, 3)).ok());  // stays in memory
+      ASSERT_TRUE(ds.PrimaryRepair(with_merge).ok());
+      EXPECT_EQ(RowsForUser(&ds, 10), 1u);
+      EXPECT_EQ(RowsForUser(&ds, 20), 0u);
+    }
+  }
+}
+
 TEST(DeletedKeyTest, CompanionTreeTracksRewrites) {
   Env env(TestEnv());
   DatasetOptions o;
@@ -308,6 +345,32 @@ TEST(DeletedKeyTest, MergeDropsEntriesInvalidatedByDeletedKeys) {
   QueryResult res;
   ASSERT_TRUE(ds.QueryUserRange(1, 1, q, &res).ok());
   EXPECT_EQ(res.records.size(), 25u);
+}
+
+// The deleted-key merge consults the deleted-key trees' disk components
+// only. An open transaction's rewrite sits uncommitted in the memory
+// component; dropping the entry it supersedes would leave the record
+// without a secondary entry once the transaction aborts.
+TEST(DeletedKeyTest, MergeIgnoresUncommittedRewrites) {
+  Env env(TestEnv());
+  DatasetOptions o;
+  o.strategy = MaintenanceStrategy::kDeletedKeyBtree;
+  o.mem_budget_bytes = 1 << 30;
+  Dataset ds(&env, o);
+  ASSERT_TRUE(ds.Upsert(MakeTweet(1, 5, 1)).ok());
+  ASSERT_TRUE(ds.FlushAll().ok());
+  ASSERT_TRUE(ds.Upsert(MakeTweet(2, 6, 2)).ok());
+  ASSERT_TRUE(ds.FlushAll().ok());
+  SecondaryIndex* index = ds.secondary(0);
+  auto txn = ds.Begin();
+  ASSERT_TRUE(ds.UpsertTxn(MakeTweet(1, 5, 3), txn.get()).ok());
+  ASSERT_TRUE(RunDeletedKeyMergePicked(&ds, index, index->tree->Components(),
+                                       index->deleted_keys->Components())
+                  .ok());
+  ASSERT_TRUE(txn->Abort().ok());
+  TweetRecord r;
+  ASSERT_TRUE(ds.GetById(1, &r).ok());
+  EXPECT_EQ(RowsForUser(&ds, 5), 1u);
 }
 
 // --- Merge rules shared by every merge -------------------------------------
